@@ -61,7 +61,6 @@ from .stieltjes import (
     invert_interval,
     is_zero_by_interval_family,
     transform,
-    transform_closed,
     vanishing_detector,
 )
 from .laplace import (

@@ -3,7 +3,7 @@
 Numeric output carries 15 significant digits; JSON documents are emitted in
 compact form with a schema tag, and identical argv (plus seed) always yields
 byte-identical output.  Exit codes: 0 success/PASS, 1 FAIL verdicts, 2 usage
-errors.
+or input errors (one ``error:`` line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from . import (
     vanishing_detector,
     witness_ktype,
 )
+from .quadrature import QuadratureError
 
 SCHEMA = "rankone-gap/1"
 
@@ -83,7 +84,10 @@ def parse_weight(n: int, entries: str) -> HighestWeight:
 
 def load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: top level must be a JSON object")
+    return doc
 
 
 def parse_zgrid(spec: str):
@@ -306,8 +310,9 @@ def _cmd_stieltjes(args) -> int:
         value = transform(nu, complex(args.z_re, args.z_im))
         emit_json({"re": value.real, "im": value.imag})
         return 0
-    F_re = lambda z: transform(nu.real_part(), z)  # noqa: E731
-    F_im = lambda z: transform(nu.imag_part(), z)  # noqa: E731
+    re_part, im_part = nu.real_part(), nu.imag_part()
+    F_re = lambda z: transform(re_part, z)  # noqa: E731
+    F_im = lambda z: transform(im_part, z)  # noqa: E731
     if args.cmd == "invert":
         inv_re = invert_interval(F_re, args.a, args.b, y0=args.y0, k_max=args.k_max)
         inv_im = invert_interval(F_im, args.a, args.b, y0=args.y0, k_max=args.k_max)
@@ -335,6 +340,10 @@ def _cmd_sim(args, workers: int) -> int:
         return 0
     model = _load_model(args.model)
     if args.cmd == "correlate":
+        if not args.dt > 0:
+            raise ValueError("--dt must be positive")
+        if not args.t_max >= 0:
+            raise ValueError("--t-max must be non-negative")
         ts = np.arange(0.0, args.t_max + args.dt / 2, args.dt)
         values = correlation(model, ts)
         print("t,re,im")
@@ -380,7 +389,7 @@ def run(argv=None) -> int:
             return _cmd_stieltjes(args)
         if args.group == "sim":
             return _cmd_sim(args, workers)
-    except (ValueError, OSError, KeyError, ArithmeticError) as err:
+    except (ValueError, OSError, KeyError, ArithmeticError, QuadratureError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     return 2

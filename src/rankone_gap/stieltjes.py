@@ -27,50 +27,54 @@ class SingularPointError(ValueError):
     """Evaluation point is on (or numerically at) the support of the measure."""
 
 
-_BLOCK = 16
+def cauchy_density_integral(coeffs, lo: float, hi: float, z):
+    """int p(t)/(z - t) dt over [lo, hi] for p(t) = sum coeffs[k] t**k, in
+    closed form, for an array ``z`` off the segment.
 
-
-def cauchy_density_integral(density_fn, lo: float, hi: float, z_flat, tol: float):
-    """int density(t)/(z - t) dt over [lo, hi], adaptively, for a batch of z.
-
-    Evaluation points are processed in blocks sorted by real part so one
-    point's refinement neighborhood is never charged to distant points, and
-    each block's subdivision is pre-seeded with a geometric cascade around
-    the singular band (scale = distance of the point to the segment).
+    In the variable v = (t - m)/h of the piece midpoint m and half-width h the
+    integral is int_{-1}^{1} A(v)/(s - v) dv with s = (z - m)/h, so its
+    conditioning does not depend on where the piece sits.  Synthetic division
+    A(v) = (v - s) Q(v) + A(s) gives -int Q + A(s) log((s + 1)/(s - 1)), and
+    the logarithm is taken as 2 atanh(1/s): off [-1, 1] the argument avoids
+    the cut, and it keeps full relative accuracy for large |s|.  Far from the
+    piece the two terms cancel to about |s|**-deg of their size, so there the
+    moment series sum_j s**-(j+1) int A(v) v**j dv is summed instead.
     """
-    width = hi - lo
-    out = np.zeros(z_flat.shape, dtype=complex)
-    order = np.argsort(z_flat.real, kind="stable")
-    for start in range(0, order.size, _BLOCK):
-        idx = order[start : start + _BLOCK]
-        zb = z_flat[idx]
-        hints: list[float] = []
-        for zi in zb:
-            x = min(max(zi.real, lo), hi)
-            horiz = max(lo - zi.real, zi.real - hi, 0.0)
-            scale = float(np.hypot(horiz, zi.imag))
-            if scale > 0.5 * width:
-                continue
-            hints.append(x)
-            step = max(scale, width * 2e-15)
-            while step < width:
-                hints.extend((x - step, x + step))
-                step *= 2
-        breaks = np.unique([h for h in hints if lo < h < hi]) if hints else None
-
-        def integrand(t, _zb=zb):
-            return density_fn(t)[None, :] / (_zb[:, None] - t[None, :])
-
-        res = integrate_adaptive(integrand, lo, hi, tol=tol, breaks=breaks)
-        out[idx] = res.value
+    m, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    c = [complex(x) for x in coeffs]
+    a = c[-1:]
+    for ck in reversed(c[:-1]):  # A(v) = p(m + h v) by Horner in polynomials
+        a = [m * x + h * y for x, y in zip(a + [0j], [0j] + a)]
+        a[0] += ck
+    deg = len(a) - 1
+    s = (np.asarray(z, dtype=complex) - m) / h
+    out = np.empty(s.shape, dtype=complex)
+    # the closed form loses (deg + 1) |s|**deg ulps; keep that below (deg + 1) 2**10
+    radius = 2.0 ** (10 / deg) if deg > 0 else np.inf
+    far = np.abs(s) > radius
+    if far.any():
+        j = np.arange(int(39.2 / np.log(radius)) + 2)[:, None]  # radius**-j < 1e-17
+        k = np.arange(deg + 1)[None, :]
+        moments = np.where((j + k) % 2 == 0, 2.0 / (j + k + 1), 0.0) @ np.asarray(a)
+        r = 1 / s[far]
+        out[far] = r * np.polynomial.polynomial.polyval(r, moments)
+    near = ~far
+    sn = s[near]
+    b = np.full(sn.shape, a[-1])
+    int_q = np.zeros(sn.shape, dtype=complex)
+    for k in range(deg - 1, -1, -1):  # b runs through Q's coefficients, then A(s)
+        if k % 2 == 0:
+            int_q += b * (2.0 / (k + 1))
+        b = a[k] + sn * b
+    out[near] = 2 * b * np.arctanh(1 / sn) - int_q
     return out
 
 
-def transform(nu: RealLineMeasure, z, tol_quad: float = TOL_QUAD):
+def transform(nu: RealLineMeasure, z):
     """Stieltjes transform sum_atoms w/(z-t) + sum_pieces int rho(t)/(z-t) dt.
 
-    ``z`` may be a scalar or an array; density integrals go through the
-    adaptive engine, vectorized over blocks of evaluation points.
+    ``z`` may be a scalar or an array; density pieces are integrated in
+    closed form.
     """
     z_arr = np.asarray(z, dtype=complex)
     scalar = z_arr.ndim == 0
@@ -85,45 +89,7 @@ def transform(nu: RealLineMeasure, z, tol_quad: float = TOL_QUAD):
     for piece in nu.pieces:
         if piece.is_zero():
             continue
-        out += cauchy_density_integral(piece, piece.lo, piece.hi, z_flat, tol_quad)
-    if scalar:
-        return complex(out[0])
-    return out.reshape(z_arr.shape)
-
-
-def transform_closed(nu: RealLineMeasure, z):
-    """Closed-form Stieltjes transform via logarithm antiderivatives.
-
-    For a polynomial density p on [lo, hi],
-    int p(t)/(z-t) dt = -int q(t) dt + p(z) * (log(z-lo) - log(z-hi)) where
-    q(t) = (p(t) - p(z))/(t - z) is again a polynomial.  For z off the real
-    segment the principal logarithms never cross the cut.  Used as the
-    independent oracle for the quadrature path.
-    """
-    z_arr = np.asarray(z, dtype=complex)
-    scalar = z_arr.ndim == 0
-    z_flat = np.atleast_1d(z_arr).ravel()
-    dist = nu.distance_to_support(z_flat)
-    if np.any(dist < TOL_SUPPORT):
-        raise SingularPointError("evaluation point is on the support")
-    out = np.zeros(z_flat.shape, dtype=complex)
-    for atom in nu.atoms:
-        out += atom.weight / (z_flat - atom.location)
-    for piece in nu.pieces:
-        if piece.is_zero():
-            continue
-        c = np.asarray(piece.coeffs, dtype=complex)
-        deg = len(c) - 1
-        p_at_z = np.polynomial.polynomial.polyval(z_flat, c)
-        # coefficients of q(t) = (p(t) - p(z))/(t - z): q_i = sum_{k>i} c_k z^(k-1-i)
-        total = np.zeros(z_flat.shape, dtype=complex)
-        for i in range(deg):
-            qi = np.zeros(z_flat.shape, dtype=complex)
-            for k in range(i + 1, deg + 1):
-                qi += c[k] * z_flat ** (k - 1 - i)
-            total += qi * (piece.hi ** (i + 1) - piece.lo ** (i + 1)) / (i + 1)
-        logs = np.log(z_flat - piece.lo) - np.log(z_flat - piece.hi)
-        out += -total + p_at_z * logs
+        out += cauchy_density_integral(piece.coeffs, piece.lo, piece.hi, z_flat)
     if scalar:
         return complex(out[0])
     return out.reshape(z_arr.shape)

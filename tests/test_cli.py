@@ -55,6 +55,63 @@ class TestExitCodes:
         assert out.splitlines()[0] == "s,value,classification"
 
 
+class TestInputErrors:
+    """Malformed input exits 2 with one ``error:`` line, the same bytes every run."""
+
+    def assert_input_error(self, capsys, argv):
+        runs = [invoke(capsys, argv) for _ in range(2)]
+        assert runs[0] == runs[1]
+        code, out, err = runs[0]
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.fixture
+    def list_doc(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        return str(path)
+
+    @pytest.fixture
+    def model_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(SpectralModel(d=2, delta=1.5).to_json()))
+        return str(path)
+
+    def test_top_level_list_to_invert(self, capsys, list_doc):
+        self.assert_input_error(
+            capsys, ["stieltjes", "invert", "--model", list_doc, "--a", "0", "--b", "1"]
+        )
+
+    def test_top_level_list_to_poles(self, capsys, list_doc):
+        self.assert_input_error(capsys, ["sim", "poles", "--model", list_doc, "--eta", "0.1"])
+
+    def test_correlate_nonpositive_dt(self, capsys, model_file):
+        argv = ["sim", "correlate", "--model", model_file, "--t-max", "1", "--dt"]
+        self.assert_input_error(capsys, argv + ["-0.1"])
+        self.assert_input_error(capsys, argv + ["0"])
+
+    def test_correlate_negative_t_max(self, capsys, model_file):
+        self.assert_input_error(
+            capsys, ["sim", "correlate", "--model", model_file, "--t-max", "-1", "--dt", "0.1"]
+        )
+
+    def test_quadrature_error(self, capsys, tmp_path, monkeypatch):
+        import rankone_gap.cli as cli
+        from rankone_gap.quadrature import QuadratureError
+
+        def fail(*args, **kwargs):
+            raise QuadratureError("panel budget exhausted")
+
+        monkeypatch.setattr(cli, "invert_interval", fail)
+        path = tmp_path / "measure.json"
+        path.write_text(json.dumps(RealLineMeasure(atoms=((0.5, 1.0),)).to_json()))
+        self.assert_input_error(
+            capsys, ["stieltjes", "invert", "--model", str(path), "--a", "0", "--b", "1"]
+        )
+
+
 class TestDeterminism:
     def test_identical_bytes(self, capsys):
         argv = ["cfun", "scan", "--d", "3", "--sigma", "1", "--grid", "11"]

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -147,6 +148,29 @@ class TestLaplace:
             ),
         )
         assert laplace_closed(model, 0.2).real == pytest.approx(math.log(2), rel=1e-9)
+
+    def test_closed_density_channel_against_mpmath(self):
+        piece = (1.1, 1.4, (1.0, -0.5 + 0.25j, 0.3))
+        coeff = (0.5, 1.0 - 0.2j)
+        model = SpectralModel(
+            d=2,
+            delta=1.5,
+            channels=(
+                Channel(TRIV2, RealLineMeasure(atoms=((1.5, 0.5),), pieces=(piece,)), coeff),
+            ),
+        )
+
+        def integrand(s, w):
+            p = sum(c * s**k for k, c in enumerate(piece[2]))
+            return p * (coeff[0] + coeff[1] * s) / (w - s)
+
+        for z in (0.2 + 0j, 1.0 + 0.5j, -0.25 + 1e-3j, -0.05 - 0.02j, -0.6 + 0j):
+            with mpmath.workdps(30):
+                w = mpmath.mpc(z) + model.delta
+                cut = min(max(mpmath.re(w), 1.1), 1.4)
+                ref = mpmath.quad(lambda s: integrand(s, w), sorted({1.1, cut, 1.4}))
+                ref += 0.5 * (coeff[0] + coeff[1] * 1.5) / (w - 1.5)
+            assert laplace_closed(model, z) == pytest.approx(complex(ref), rel=1e-12)
 
     def test_closed_linearity_over_channels(self):
         m1 = atom_model(2, 1.5, [(1.2, 1.0)])

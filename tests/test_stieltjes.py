@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,13 +12,43 @@ from rankone_gap import (
     invert_interval,
     is_zero_by_interval_family,
     transform,
-    transform_closed,
     vanishing_detector,
 )
 from rankone_gap.quadrature import rectangle_contour_sum
 
 ATOM0 = RealLineMeasure(atoms=((0.0, 1.0),))
 UNIFORM01 = RealLineMeasure(pieces=((0.0, 1.0, (1.0,)),))
+
+
+def mp_transform(nu: RealLineMeasure, z, dps: int = 50) -> complex:
+    """Reference Stieltjes transform in mpmath at ``dps`` digits: atoms plus,
+    per piece, -int q + p(z) log((z - lo)/(z - hi)) with q = (p - p(z))/(t - z)
+    taken in the original variable t (no midpoint shift, no series)."""
+    with mpmath.workdps(dps):
+        z = mpmath.mpc(z)
+        total = mpmath.mpc(0)
+        for atom in nu.atoms:
+            total += mpmath.mpc(atom.weight) / (z - atom.location)
+        for piece in nu.pieces:
+            c = [mpmath.mpc(x) for x in piece.coeffs]
+            lo, hi = mpmath.mpf(piece.lo), mpmath.mpf(piece.hi)
+            q, b = [], c[-1]
+            for ck in reversed(c[:-1]):  # synthetic division by (t - z)
+                q.append(b)
+                b = ck + z * b
+            int_q = sum(
+                qk * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+                for k, qk in enumerate(reversed(q))
+            )
+            total += -int_q + b * (mpmath.log(z - lo) - mpmath.log(z - hi))
+        return complex(total)
+
+
+def deg16_piece(lo: float, hi: float, seed: int) -> RealLineMeasure:
+    """Degree-16 density with unscaled coefficients: |p| reaches ~hi**16."""
+    rng = np.random.default_rng(seed)
+    coeffs = tuple(np.round(rng.uniform(-1, 1, 17), 4))
+    return RealLineMeasure(pieces=((lo, hi, coeffs),))
 
 
 class TestTransform:
@@ -41,9 +72,42 @@ class TestTransform:
             pieces=((0.0, 1.0, (1.0, -1.0, 0.5)),),
         )
         for z in (2.0, -1.5, 0.5 + 0.2j, 0.5 + 1e-4j, -0.1 - 0.3j):
-            quad = transform(nu, z)
-            closed = transform_closed(nu, z)
-            assert quad == pytest.approx(closed, rel=1e-8, abs=1e-9)
+            assert transform(nu, z) == pytest.approx(mp_transform(nu, z), rel=1e-12)
+
+    def test_mp_oracle_matches_mpmath_quad(self):
+        nu = RealLineMeasure(pieces=((0.0, 1.0, (1.0, -1.0, 0.5)),))
+        p = nu.pieces[0]
+        for z in (2.0, 0.5 + 0.2j, -0.1 - 0.3j):
+            quad = mpmath.quad(lambda t: complex(p(t)) / (z - t), [0, 0.5, 1])
+            assert mp_transform(nu, z) == pytest.approx(complex(quad), rel=1e-12)
+
+    @pytest.mark.parametrize("lo, hi, seed", [(1.5, 3.0, 1), (1.5, 3.0, 2), (2.0, 4.0, 3), (2.0, 4.0, 4)])
+    @pytest.mark.parametrize("height", [1e-3, 1e-2])
+    def test_degree16_near_top_of_piece(self, lo, hi, seed, height):
+        nu = deg16_piece(lo, hi, seed)
+        for x in (0.9 * hi, hi - 0.01, hi + 0.005):
+            z = complex(x, height)
+            assert transform(nu, z) == pytest.approx(mp_transform(nu, z), rel=1e-12)
+
+    def test_far_offset_piece(self):
+        # [100, 101] in the monomial basis of t: coefficients scaled so p = O(1)
+        nu = RealLineMeasure(
+            atoms=((100.7, 0.25),),
+            pieces=((100.0, 101.0, (1.0, -0.5 / 100, 0.25 / 100**2, 2e-7j)),),
+        )
+        for z in (100.5 + 1e-3j, 100.999 + 1e-4j, 99.9 - 0.01j, 101.3 + 0j, 102 + 2j):
+            assert transform(nu, z) == pytest.approx(mp_transform(nu, z), rel=1e-12)
+
+    @pytest.mark.parametrize("deg", [1, 2, 4, 8, 16])
+    def test_far_from_piece(self, deg):
+        # moment-series side of the kernel: |z - midpoint| well beyond the width
+        rng = np.random.default_rng(deg)
+        coeffs = tuple(rng.uniform(-1, 1, deg + 1) + 1j * rng.uniform(-1, 1, deg + 1))
+        nu = RealLineMeasure(pieces=((1.0, 1.2, coeffs),))
+        for z in (1.5 + 0.1j, 3.0 + 0j, -40.0 + 7j, 1.1 + 300j, 2e4 - 1e4j):
+            # the reference cancels ~|z|**deg in t; 150 digits cover it
+            ref = mp_transform(nu, z, dps=150)
+            assert transform(nu, z) == pytest.approx(ref, rel=1e-12)
 
     def test_vectorized(self):
         zs = np.array([2.0 + 0j, 1j, -3.0 + 0.5j])
@@ -67,9 +131,13 @@ class TestTransform:
 
     def test_morera_rectangles_vanish(self):
         nu = RealLineMeasure(atoms=((0.5, 1.0 + 1.0j),), pieces=((0.0, 1.0, (2.0,)),))
-        F = lambda z: transform_closed(nu, z)  # noqa: E731
+        F = lambda z: transform(nu, z)  # noqa: E731
         assert abs(rectangle_contour_sum(F, -0.4, 1.3, 0.2, 0.9)) < 1e-8
         assert abs(rectangle_contour_sum(F, 1.5, 2.5, -0.4, 0.4)) < 1e-8
+        # a rectangle around the whole support picks up 2 pi i times the mass
+        assert rectangle_contour_sum(F, -0.5, 1.5, -0.5, 0.5) == pytest.approx(
+            2j * math.pi * (3.0 + 1.0j), rel=1e-8
+        )
 
 
 class TestInvertInterval:
