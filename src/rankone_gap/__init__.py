@@ -76,7 +76,6 @@ from .laplace import (
     pole_probe,
     pushforward_measure,
     rank_test,
-    remainder_laplace_numeric,
     remainder_term,
     residue_at_zero,
     truncation_bound,

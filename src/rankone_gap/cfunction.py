@@ -160,7 +160,7 @@ def _signed_loggamma(x: float) -> tuple[float, float]:
     return math.lgamma(x), sign
 
 
-def evaluate(expr: GammaRatioExpr, s: float, tol_pole: float = TOL_POLE) -> GammaValue:
+def evaluate(expr: GammaRatioExpr, s: float) -> GammaValue:
     """Evaluate the ratio at real s with pole/zero classification.
 
     Singular Gamma arguments are never exponentiated.  With k hits in the
@@ -176,7 +176,7 @@ def evaluate(expr: GammaRatioExpr, s: float, tol_pole: float = TOL_POLE) -> Gamm
     for factors, side in ((expr.numerator, 1.0), (expr.denominator, -1.0)):
         for u, a in factors:
             x = float(u) * s + float(a)
-            k = _singular_order(x, tol_pole)
+            k = _singular_order(x, TOL_POLE)
             if k is None:
                 lg, sg = _signed_loggamma(x)
                 log_mag += side * lg
@@ -251,23 +251,19 @@ def nonvanishing_scan(
     d: int,
     grid,
     tau: HighestWeight | None = None,
-    tol_nonvanish: float = TOL_NONVANISH,
-    map_fn=map,
 ) -> ScanReport:
     """Evaluate the C-function scalar of (tau, dual(sigma)) over a grid of s.
 
     With the default witness tau the scan is expected to pass: no zero or
-    pole classifications and min |value| above ``tol_nonvanish``.  Sign
-    changes are recorded but are never a failure.  ``map_fn`` may be a
-    parallel map over grid points; the report is assembled in grid order
-    either way, so the output is schedule independent.
+    pole classifications and min |value| above ``TOL_NONVANISH``.  Sign
+    changes are recorded but are never a failure.
     """
     if tau is None:
         tau = witness_ktype(sigma, d)
     sigma_dual = dual(sigma)
     expr = cfunction_expr(tau, sigma_dual, d)
     points = [float(s) for s in grid]
-    values = list(map_fn(lambda s: evaluate(expr, s), points))
+    values = [evaluate(expr, s) for s in points]
     rows = []
     last_sign = 0
     sign_changes = 0
@@ -286,7 +282,7 @@ def nonvanishing_scan(
                 sign_changes += 1
             if this_sign:
                 last_sign = this_sign
-    passed = zeros == 0 and poles == 0 and min_abs > tol_nonvanish
+    passed = zeros == 0 and poles == 0 and min_abs > TOL_NONVANISH
     return ScanReport(
         sigma=sigma,
         sigma_dual=sigma_dual,

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -26,7 +24,6 @@ from . import (
     cfunction_expr,
     correlation,
     compare_numeric_closed,
-    default_search_bound,
     dimension,
     dual,
     enumerate_ktypes_containing,
@@ -46,6 +43,7 @@ from . import (
     witness_ktype,
 )
 from .quadrature import QuadratureError
+from .wire import as_list, as_object, as_objects, real
 
 SCHEMA = "rankone-gap/1"
 
@@ -84,10 +82,7 @@ def parse_weight(n: int, entries: str) -> HighestWeight:
 
 def load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: top level must be a JSON object")
-    return doc
+        return as_object(json.load(fh), f"{path}: top level")
 
 
 def parse_zgrid(spec: str):
@@ -100,24 +95,10 @@ def parse_zgrid(spec: str):
     return [complex(x, im) for x in np.linspace(lo, hi, n)]
 
 
-def worker_count(args) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
-    env = os.environ.get("RANKONE_GAP_THREADS")
-    return max(1, int(env)) if env else 1
-
-
-def map_ordered(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="rankone-gap")
-    top.add_argument("--workers", type=int, default=None, help="worker pool size")
-    top.add_argument("--seed", type=int, default=0, help="seed for randomized scans")
+    top.add_argument("--workers", type=int, default=None, help="accepted; has no effect")
+    top.add_argument("--seed", type=int, default=0, help="accepted; has no effect")
     groups = top.add_subparsers(dest="group", required=True)
 
     duals = groups.add_parser("duals").add_subparsers(dest="cmd", required=True)
@@ -246,8 +227,7 @@ def _cmd_ktype(args) -> int:
     if args.cmd == "witness":
         print(json.dumps(witness_ktype(sigma, args.d).to_json(), separators=(",", ":")))
         return 0
-    bound = args.bound if args.bound is not None else default_search_bound(sigma)
-    minimizers, report = minimal_ktypes(sigma, args.d, bound)
+    minimizers, report = minimal_ktypes(sigma, args.d, args.bound)
     emit_json(
         {
             "minimizers": [w.to_json() for w in minimizers],
@@ -257,7 +237,7 @@ def _cmd_ktype(args) -> int:
     return 0 if report.is_minimal_over_bound else 1
 
 
-def _cmd_cfun(args, workers: int) -> int:
+def _cmd_cfun(args) -> int:
     sigma = parse_weight(args.d, args.sigma)
     if args.cmd == "expr":
         tau = parse_weight(args.d + 1, args.tau)
@@ -284,8 +264,7 @@ def _cmd_cfun(args, workers: int) -> int:
     hi = args.s_max if args.s_max is not None else float(args.d)
     grid = halfopen_grid(lo, hi, args.grid)
     tau = parse_weight(args.d + 1, args.tau) if args.tau is not None else None
-    map_fn = (lambda f, xs: map_ordered(f, list(xs), workers)) if workers > 1 else map
-    report = nonvanishing_scan(sigma, args.d, grid, tau=tau, map_fn=map_fn)
+    report = nonvanishing_scan(sigma, args.d, grid, tau=tau)
     print("s,value,classification")
     for s, value, cls in report.rows:
         print(f"{fmt(s)},{fmt(value)},{cls}")
@@ -331,11 +310,10 @@ def _cmd_stieltjes(args) -> int:
     return 0 if report.verdict != "inconclusive" else 1
 
 
-def _cmd_sim(args, workers: int) -> int:
+def _cmd_sim(args) -> int:
     if args.cmd == "rank":
-        doc = load_json(args.q)
-        rows = doc["rows"]
-        q = [[complex(c["re"], c["im"]) for c in row] for row in rows]
+        rows = as_list(load_json(args.q)["rows"], "rows")
+        q = [[complex(real(c["re"]), real(c["im"])) for c in as_objects(r, "row")] for r in rows]
         print(rank_test(np.array(q)))
         return 0
     model = _load_model(args.model)
@@ -375,20 +353,19 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    workers = worker_count(args)
     try:
         if args.group == "duals":
             return _cmd_duals(args)
         if args.group == "ktype":
             return _cmd_ktype(args)
         if args.group == "cfun":
-            return _cmd_cfun(args, workers)
+            return _cmd_cfun(args)
         if args.group == "gap":
             return _cmd_gap(args)
         if args.group == "stieltjes":
             return _cmd_stieltjes(args)
         if args.group == "sim":
-            return _cmd_sim(args, workers)
+            return _cmd_sim(args)
     except (ValueError, OSError, KeyError, ArithmeticError, QuadratureError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

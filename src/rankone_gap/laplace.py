@@ -27,6 +27,7 @@ from .measures import Atom, DensityPiece, RealLineMeasure
 from .quadrature import integrate_adaptive
 from .stieltjes import SingularPointError, TOL_SUPPORT, cauchy_density_integral
 from .weights import HighestWeight
+from .wire import as_list, as_objects, integer, real
 
 _polyval = np.polynomial.polynomial.polyval
 _polymul = np.polynomial.polynomial.polymul
@@ -98,9 +99,9 @@ class SpectralModel:
     @classmethod
     def from_json(cls, data: dict) -> "SpectralModel":
         channels = []
-        for ch in data.get("channels", []):
-            re = [float(c) for c in ch.get("coeff_re", [])]
-            im = [float(c) for c in ch.get("coeff_im", [])]
+        for ch in as_objects(data.get("channels", []), "channels"):
+            re = [real(c) for c in as_list(ch.get("coeff_re", []), "coeff_re")]
+            im = [real(c) for c in as_list(ch.get("coeff_im", []), "coeff_im")]
             size = max(len(re), len(im), 1)
             re += [0.0] * (size - len(re))
             im += [0.0] * (size - len(im))
@@ -112,10 +113,10 @@ class SpectralModel:
                 )
             )
         return cls(
-            d=int(data["d"]),
-            delta=float(data["delta"]),
+            d=integer(data["d"]),
+            delta=real(data["delta"]),
             channels=tuple(channels),
-            tempered_amplitude=float(data.get("tempered_amplitude", 0.0)),
+            tempered_amplitude=real(data.get("tempered_amplitude", 0.0)),
         )
 
 
@@ -125,7 +126,7 @@ def remainder_term(model: SpectralModel, t):
     return model.tempered_amplitude * (1 + t) * np.exp(-0.5 * model.d * t) * np.cos(t)
 
 
-def correlation(model: SpectralModel, t, tol: float = TOL_QUAD):
+def correlation(model: SpectralModel, t):
     """Correlation value f(t); ``t`` may be a scalar or an array, t >= 0."""
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
@@ -150,7 +151,7 @@ def correlation(model: SpectralModel, t, tol: float = TOL_QUAD):
                     * np.exp(-(d - s[None, :]) * t_flat[:, None])
                 )
 
-            res = integrate_adaptive(integrand, piece.lo, piece.hi, tol=tol)
+            res = integrate_adaptive(integrand, piece.lo, piece.hi, tol=TOL_QUAD)
             out += res.value
     out += remainder_term(model, t_flat)
     if scalar:
@@ -221,21 +222,10 @@ class LaplaceResult:
     truncation_bound: object  # float or ndarray
 
 
-def _laplace_quadrature(model, z_flat, t_max, tol, payload):
-    exponent = z_flat + model.delta - model.d
-
-    def integrand(t):
-        return payload(t)[None, :] * np.exp(-exponent[:, None] * t[None, :])
-
-    res = integrate_adaptive(integrand, 0.0, t_max, tol=tol, init_panels=32)
-    return np.atleast_1d(res.value)
-
-
 def laplace_numeric(
     model: SpectralModel,
     z,
     t_max: float = 80.0,
-    tol: float = TOL_QUAD,
     include_remainder: bool = True,
 ) -> LaplaceResult:
     """Truncated quadrature of the Laplace transform plus its tail bound.
@@ -247,45 +237,20 @@ def laplace_numeric(
     z_arr = np.asarray(z, dtype=complex)
     scalar = z_arr.ndim == 0
     z_flat = np.atleast_1d(z_arr).ravel()
-    bound = truncation_bound(model, z_flat, t_max, include_remainder)
+    bound = truncation_bound(model, z_flat, t_max, include_remainder) + TOL_QUAD
+    exponent = z_flat + model.delta - model.d
 
-    def payload(t):
-        f = correlation(model, t, tol=tol)
+    def integrand(t):
+        f = correlation(model, t)
         if not include_remainder:
             f = f - remainder_term(model, t)
-        return f
+        return f[None, :] * np.exp(-exponent[:, None] * t[None, :])
 
-    value = _laplace_quadrature(model, z_flat, t_max, tol, payload)
-    bound = bound + tol
+    res = integrate_adaptive(integrand, 0.0, t_max, tol=TOL_QUAD, init_panels=32)
+    value = np.atleast_1d(res.value)
     if scalar:
         return LaplaceResult(complex(value[0]), float(bound[0]))
     return LaplaceResult(value.reshape(z_arr.shape), bound.reshape(z_arr.shape))
-
-
-def remainder_laplace_numeric(
-    model: SpectralModel, z, t_max: float = 80.0, tol: float = TOL_QUAD
-) -> LaplaceResult:
-    """Laplace transform of the tempered background alone, same engine."""
-    z_arr = np.asarray(z, dtype=complex)
-    scalar = z_arr.ndim == 0
-    z_flat = np.atleast_1d(z_arr).ravel()
-    if model.tempered_amplitude == 0:
-        value = np.zeros(z_flat.shape, dtype=complex)
-        bound = np.zeros(z_flat.shape)
-    else:
-        re_z = z_flat.real
-        a = re_z + model.delta - model.d / 2
-        if np.any(a <= 0):
-            raise ValueError("Re z too far left: tempered tail diverges")
-        value = _laplace_quadrature(
-            model, z_flat, t_max, tol, lambda t: remainder_term(model, t).astype(complex)
-        )
-        bound = model.tempered_amplitude * np.exp(-a * t_max) * (
-            (1 + t_max) / a + 1 / a**2
-        ) + tol
-    if scalar:
-        return LaplaceResult(complex(value[0]), float(np.atleast_1d(bound)[0]))
-    return LaplaceResult(value.reshape(z_arr.shape), np.broadcast_to(bound, z_arr.shape))
 
 
 def laplace_closed(model: SpectralModel, z):
@@ -375,13 +340,12 @@ def compare_numeric_closed(
     grid,
     closed_model: SpectralModel | None = None,
     t_max: float = 80.0,
-    tol: float = TOL_QUAD,
     tol_compare: float = 1e-6,
 ) -> CompareReport:
     """Elementwise comparison of the truncated transform against the closed
     channel sum over a grid of z.
 
-    The numeric transform of the tempered background is subtracted first, so
+    The numeric side leaves the tempered background out of its integrand, so
     the two sides describe the same channel content.  PASS means every
     discrepancy is within tol_compare plus the honest truncation bound.
     ``closed_model`` substitutes a different model on the closed side (for
@@ -389,18 +353,16 @@ def compare_numeric_closed(
     """
     zs = np.asarray(list(grid), dtype=complex)
     target = model if closed_model is None else closed_model
-    numeric = laplace_numeric(model, zs, t_max=t_max, tol=tol)
-    rem = remainder_laplace_numeric(model, zs, t_max=t_max, tol=tol)
+    numeric = laplace_numeric(model, zs, t_max=t_max, include_remainder=False)
     closed = laplace_closed(target, zs)
-    chan_bound = truncation_bound(model, zs, t_max, include_remainder=False)
     rows = []
     passed = True
     max_err = 0.0
     for k, z in enumerate(zs):
-        num_k = complex(np.atleast_1d(numeric.value)[k] - np.atleast_1d(rem.value)[k])
+        num_k = complex(np.atleast_1d(numeric.value)[k])
         clo_k = complex(np.atleast_1d(closed)[k])
         err = abs(num_k - clo_k)
-        allowed = tol_compare + float(np.atleast_1d(chan_bound)[k]) + 3 * tol
+        allowed = tol_compare + float(np.atleast_1d(numeric.truncation_bound)[k]) + 2 * TOL_QUAD
         rows.append((complex(z), num_k, clo_k, err, allowed))
         max_err = max(max_err, err)
         if err > allowed:
@@ -431,12 +393,7 @@ class PoleProbeReport:
 def pole_probe(
     model: SpectralModel,
     eta: float,
-    grid_y=(1e-2, 1e-3, 1e-4),
     x_step: float = 1e-3,
-    blowup_ratio: float = 20.0,
-    blowup_floor: float = 1e-6,
-    contour_tol: float = 1e-6,
-    gl_nodes: int = 16,
 ) -> PoleProbeReport:
     """Probe the subtracted transform G(z) = B(z) - residue/z on |Re z| < eta.
 
@@ -446,7 +403,10 @@ def pole_probe(
     grid point AND a rectangular contour cell around it fails to vanish (the
     double condition keeps quadrature and cancellation noise from being read
     as a pole); the winning cell's center locates the pole to the grid
-    resolution.
+    resolution.  |G| is sampled at heights 1e-4, 1e-3 and 1e-2 above the grid
+    and blows up when its peak exceeds 1e-6 and 20 times the median at 1e-2;
+    a cell fails to vanish when its 16-node Gauss-Legendre contour sum
+    exceeds 1e-6 in modulus.
     """
     if not 0 < eta < continuation_width(model.delta, model.d):
         raise ValueError("eta must lie in (0, continuation width)")
@@ -462,17 +422,16 @@ def pole_probe(
         return flat.reshape(z.shape) if z.shape else flat[0]
 
     xs = np.arange(-eta + x_step, eta - x_step / 2, x_step)
-    ys = sorted(float(y) for y in grid_y)
-    samples = np.abs(np.array([G(xs + 1j * y) for y in ys]))
+    samples = np.abs(np.array([G(xs + 1j * y) for y in (1e-4, 1e-3, 1e-2)]))
     max_abs = float(samples.max()) if samples.size else 0.0
     baseline = float(np.median(samples[-1])) if samples.size else 0.0
-    blowup = max_abs > blowup_ratio * (baseline + 1e-12) and max_abs > blowup_floor
+    blowup = max_abs > 20.0 * (baseline + 1e-12) and max_abs > 1e-6
 
     # Contour cells between consecutive grid points, height +-x_step.  All
     # horizontal edges share two lines and all vertical edges share the x
     # grid, so G is evaluated in three batched calls.
     y_c = x_step
-    gl_x, gl_w = np.polynomial.legendre.leggauss(gl_nodes)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(16)
     n_cells = xs.size - 1
     max_contour = 0.0
     pole_location = None
@@ -480,19 +439,19 @@ def pole_probe(
         mids = 0.5 * (xs[:-1] + xs[1:])
         halves = 0.5 * (xs[1:] - xs[:-1])
         hx = (mids[:, None] + halves[:, None] * gl_x[None, :]).ravel()
-        h_bot = G(hx - 1j * y_c).reshape(n_cells, gl_nodes)
-        h_top = G(hx + 1j * y_c).reshape(n_cells, gl_nodes)
+        h_bot = G(hx - 1j * y_c).reshape(n_cells, -1)
+        h_top = G(hx + 1j * y_c).reshape(n_cells, -1)
         h_int_bot = (h_bot * gl_w).sum(axis=1) * halves
         h_int_top = (h_top * gl_w).sum(axis=1) * halves
         vy = (y_c * gl_x)[None, :] + np.zeros((xs.size, 1))
         vz = (xs[:, None] + 1j * vy).ravel()
-        v_vals = G(vz).reshape(xs.size, gl_nodes)
+        v_vals = G(vz).reshape(xs.size, -1)
         v_int = 1j * y_c * (v_vals * gl_w).sum(axis=1)
         cells = np.abs(h_int_bot + v_int[1:] - h_int_top - v_int[:-1]) / (2 * math.pi)
         k = int(np.argmax(cells))
         max_contour = float(cells[k])
         pole_location = float(mids[k])
-    contour_detected = max_contour > contour_tol
+    contour_detected = max_contour > 1e-6
     failed = blowup and contour_detected
     return PoleProbeReport(
         passed=not failed,

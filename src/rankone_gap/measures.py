@@ -15,6 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .wire import as_list, as_object, as_objects, real
+
 
 @dataclass(frozen=True)
 class Atom:
@@ -163,20 +165,19 @@ class RealLineMeasure:
 
     @classmethod
     def from_json(cls, data: dict) -> "RealLineMeasure":
+        data = as_object(data, "measure")
         atoms = tuple(
-            Atom(float(a["t"]), complex(float(a["w_re"]), float(a.get("w_im", 0.0))))
-            for a in data.get("atoms", [])
+            Atom(real(a["t"]), complex(real(a["w_re"]), real(a.get("w_im", 0.0))))
+            for a in as_objects(data.get("atoms", []), "atoms")
         )
         pieces = []
-        for p in data.get("densities", []):
-            re = [float(c) for c in p.get("coeffs_re", [])]
-            im = [float(c) for c in p.get("coeffs_im", [])]
+        for p in as_objects(data.get("densities", []), "densities"):
+            re = [real(c) for c in as_list(p.get("coeffs_re", []), "coeffs_re")]
+            im = [real(c) for c in as_list(p.get("coeffs_im", []), "coeffs_im")]
             size = max(len(re), len(im))
             re += [0.0] * (size - len(re))
             im += [0.0] * (size - len(im))
-            pieces.append(
-                DensityPiece(float(p["a"]), float(p["b"]), tuple(map(complex, re, im)))
-            )
+            pieces.append(DensityPiece(real(p["a"]), real(p["b"]), tuple(map(complex, re, im))))
         return cls(atoms=atoms, pieces=tuple(pieces))
 
 

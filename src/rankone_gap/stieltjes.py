@@ -21,6 +21,7 @@ from .quadrature import integrate_adaptive, richardson_sweep
 
 TOL_SUPPORT = 1e-9
 TOL_QUAD = 1e-9
+TOL_CONVERGED = 1e-4
 
 
 class SingularPointError(ValueError):
@@ -128,9 +129,6 @@ def invert_interval(
     b: float,
     y0: float = 0.5,
     k_max: int = 12,
-    tol_quad: float = TOL_QUAD,
-    convergence_tol: float = 1e-4,
-    breakpoints=None,
 ) -> InversionResult:
     """Boundary-value inversion of a Stieltjes transform over [a, b].
 
@@ -138,13 +136,13 @@ def invert_interval(
     k = 0..k_max, then extrapolates with one first-order Richardson sweep.
     The recovered quantity is the half-sum (nu([a,b)) + nu((a,b]))/2, so an
     atom exactly at an endpoint contributes half its weight.  A result whose
-    error estimate exceeds ``convergence_tol`` is flagged, not suppressed.
+    error estimate exceeds ``TOL_CONVERGED`` is flagged, not suppressed.
     """
     if not b > a:
         raise ValueError("need a < b")
     Fv = _ensure_vectorized(F)
     levels = []
-    edges = None if breakpoints is None else np.asarray(breakpoints, dtype=float)
+    edges = None
     quad_err = 0.0
     for k in range(k_max + 1):
         y = y0 * 2.0**-k
@@ -156,7 +154,7 @@ def invert_interval(
             integrand,
             a,
             b,
-            tol=tol_quad,
+            tol=TOL_QUAD,
             breaks=edges,
             init_panels=16,
             collect_edges=True,
@@ -173,7 +171,7 @@ def invert_interval(
     return InversionResult(
         value=value,
         error_estimate=err,
-        converged=err <= convergence_tol,
+        converged=err <= TOL_CONVERGED,
         levels=tuple(levels),
     )
 

@@ -18,6 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
+from .wire import as_list, as_object, integer
+
 
 class WeightError(ValueError):
     """Invalid weight data.  ``code`` is one of 'length', 'ordering', 'rank'."""
@@ -67,7 +69,9 @@ class HighestWeight:
 
     @classmethod
     def from_json(cls, data: dict) -> "HighestWeight":
-        return cls(int(data["n"]), tuple(int(e) for e in data["entries"]))
+        data = as_object(data, "weight")
+        entries = as_list(data["entries"], "entries")
+        return cls(integer(data["n"]), tuple(integer(e) for e in entries))
 
     def __str__(self) -> str:
         return f"SO({self.n}){self.entries}"

@@ -1,0 +1,40 @@
+"""Checked readers for the JSON wire formats.
+
+A document whose nodes have the wrong JSON type raises ValueError here, where
+it is read, instead of a TypeError or AttributeError deep in a constructor.
+"""
+
+from __future__ import annotations
+
+
+def as_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return value
+
+
+def as_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list")
+    return value
+
+
+def as_objects(value, what: str) -> list[dict]:
+    """A JSON list whose entries are all objects."""
+    for item in as_list(value, what):
+        as_object(item, f"each entry of {what}")
+    return value
+
+
+def _scalar(value):
+    if isinstance(value, (dict, list)) or value is None:
+        raise ValueError(f"expected a number, got {type(value).__name__}")
+    return value
+
+
+def real(value) -> float:
+    return float(_scalar(value))
+
+
+def integer(value) -> int:
+    return int(_scalar(value))

@@ -1,9 +1,24 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankone_gap import GapParameters, HighestWeight, RealLineMeasure, SpectralModel
 from rankone_gap.cli import run
+
+
+DOC = "<document>"
+TRANSFORM_ARGV = ["stieltjes", "transform", "--model", DOC, "--z-re", "0.5", "--z-im", "0.25"]
+POLES_ARGV = ["sim", "poles", "--model", DOC, "--eta", "0.1"]
+
+
+def with_doc(argv, path):
+    return [path if a == DOC else a for a in argv]
 
 
 def invoke(capsys, argv):
@@ -97,6 +112,20 @@ class TestInputErrors:
             capsys, ["sim", "correlate", "--model", model_file, "--t-max", "-1", "--dt", "0.1"]
         )
 
+    @pytest.mark.parametrize(
+        "doc, argv",
+        [
+            ({"atoms": [1]}, TRANSFORM_ARGV),
+            ({"densities": [{"a": 0, "b": 1, "coeffs_re": "12"}]}, TRANSFORM_ARGV),
+            ({"d": 2, "delta": 1.5, "channels": [1]}, POLES_ARGV),
+            ({"rows": [[1, 2], [3, 4]]}, ["sim", "rank", "--q", DOC]),
+        ],
+    )
+    def test_nested_malformed_document(self, capsys, tmp_path, doc, argv):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        self.assert_input_error(capsys, with_doc(argv, str(path)))
+
     def test_quadrature_error(self, capsys, tmp_path, monkeypatch):
         import rankone_gap.cli as cli
         from rankone_gap.quadrature import QuadratureError
@@ -124,6 +153,100 @@ class TestDeterminism:
         _, serial, _ = invoke(capsys, argv)
         _, parallel, _ = invoke(capsys, ["--workers", "4"] + argv)
         assert serial == parallel
+
+    def test_threads_variable_is_inert(self, capsys, monkeypatch):
+        argv = ["cfun", "scan", "--d", "3", "--sigma", "1", "--grid", "11"]
+        monkeypatch.delenv("RANKONE_GAP_THREADS", raising=False)
+        unset = invoke(capsys, argv)
+        for value in ("abc", "4"):
+            monkeypatch.setenv("RANKONE_GAP_THREADS", value)
+            assert invoke(capsys, argv) == unset
+
+
+VALID_MEASURE = {
+    "atoms": [{"t": 0.5, "w_re": 1.0, "w_im": 0.25}],
+    "densities": [{"a": 1.0, "b": 2.0, "coeffs_re": [1.0, -0.25], "coeffs_im": [0.5]}],
+}
+VALID_MODEL = {
+    "schema": "rankone-gap/1",
+    "d": 2,
+    "delta": 1.5,
+    "tempered_amplitude": 0.5,
+    "channels": [
+        {
+            "sigma": {"n": 2, "entries": [0]},
+            "measure": {
+                "atoms": [{"t": 1.5, "w_re": 1.0, "w_im": 0.0}],
+                "densities": [{"a": 1.1, "b": 1.3, "coeffs_re": [1.0], "coeffs_im": [0.0]}],
+            },
+            "coeff_re": [1.0, 0.5],
+            "coeff_im": [0.0],
+        }
+    ],
+}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def node_paths(doc, path=()):
+    """Every node of a JSON document, as a key path from the root."""
+    yield path
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        return
+    for key, child in children:
+        yield from node_paths(child, path + (key,))
+
+
+def replaced(doc, path, value):
+    if not path:
+        return value
+    out = json.loads(json.dumps(doc))
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return out
+
+
+@st.composite
+def mutated_documents(draw):
+    doc, argv = draw(st.sampled_from([(VALID_MEASURE, TRANSFORM_ARGV), (VALID_MODEL, POLES_ARGV)]))
+    path = draw(st.sampled_from(list(node_paths(doc))))
+    return replaced(doc, path, draw(json_values)), argv
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=40)
+@given(mutated_documents())
+def test_mutated_document_keeps_exit_contract(case):
+    """One node of a valid document replaced by any JSON value: exit 0, 1 or 2,
+    never a traceback, and the same bytes on a rerun."""
+    doc, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        argv = with_doc(argv, path)
+        first = run_captured(argv)
+        assert run_captured(argv) == first
+    code, _, err = first
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
 
 
 class TestJsonRoundTrips:
