@@ -8,10 +8,11 @@ integers or half-integers, so identical factors cancel exactly; evaluation of
 the canceled form works through log-Gamma and never multiplies singular
 values.
 
-Classification at a point s: a surviving denominator factor whose argument
-sits at a non-positive integer forces the whole ratio to zero, a numerator
-factor there forces a pole, and equal counts resolve to the finite limit of
-the ratio of leading Laurent coefficients.
+Classification at a point s: a Gamma argument within ``TOL_POLE`` of a
+non-positive integer is a singular hit.  More hits in the numerator than in
+the denominator make a pole, fewer make a zero, and equal counts give the
+value at s from the exact remainders of the hit factors.  One array evaluator
+serves single points and whole scan grids.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .weights import HighestWeight, branches_to, dimension, dual
 from .ktypes import witness_ktype
@@ -144,59 +147,57 @@ class GammaValue:
     classification: str  # 'finite' | 'zero' | 'pole'
 
 
-def _singular_order(x: float, tol: float) -> int | None:
-    """Index k >= 0 if x is within tol of the non-positive integer -k."""
-    k = round(x)
-    if k <= 0 and abs(x - k) <= tol:
-        return -k
-    return None
+def _evaluate_grid(expr: GammaRatioExpr, s) -> tuple[np.ndarray, np.ndarray]:
+    """Values and classifications ('finite' | 'zero' | 'pole') at every point
+    of the 1-D array s.
 
-
-def _signed_loggamma(x: float) -> tuple[float, float]:
-    """(log|Gamma(x)|, sign) for non-singular x."""
-    if x > 0:
-        return math.lgamma(x), 1.0
-    sign = -1.0 if math.floor(x) % 2 else 1.0
-    return math.lgamma(x), sign
+    Singular Gamma arguments are never exponentiated.  At a hit x = -k + eps,
+    eps * Gamma(x) = (-1)^k (pi eps / sin(pi eps)) / Gamma(1 - x), and the
+    sine factor is 1 in double precision for |eps| <= TOL_POLE.  Slopes 1 and
+    2 with half-integer offsets put every hit at s on the same half-integer
+    s0, so with equal counts the leftover 1 / (u * (s - s0)) factors cancel
+    down to the slopes u.  Log terms are added in the order the factors are
+    written and exponentiated point by point with math.exp; np.exp differs
+    from it in the last bit on some inputs, which moves printed digits.  An
+    argument that overflows (|s| near 1e308) raises FloatingPointError, an
+    ArithmeticError.
+    """
+    s = np.asarray(s, dtype=float)
+    if not np.isfinite(s).all():
+        raise ValueError(f"s must be finite, got {s[~np.isfinite(s)][0]}")
+    alpha, beta = expr.two_power
+    net = np.zeros(s.shape, dtype=int)
+    sign = np.ones_like(s)
+    with np.errstate(over="raise", invalid="raise"):
+        two_power = (float(alpha) * s + float(beta)) * math.log(2.0)
+        log_mag = math.log(float(expr.prefactor)) + two_power
+        for factors, side in ((expr.numerator, 1), (expr.denominator, -1)):
+            for u, a in factors:
+                x = float(u) * s + float(a)
+                k = np.round(x)
+                hit = (k <= 0) & (np.abs(x - k) <= TOL_POLE)
+                lg = np.array(list(map(math.lgamma, np.where(hit, 1.0 - x, x).tolist())))
+                log_mag += side * np.where(hit, -lg - math.log(float(u)), lg)
+                # Gamma < 0 on (-2j-1, -2j); eps * Gamma(x) has the sign (-1)^k
+                odd = np.where(hit, k, np.floor(x)) % 2 == 1
+                sign = np.where((x < 0) & odd, -sign, sign)
+                net += side * hit
+    finite = net == 0
+    over = finite & (np.abs(log_mag) > _LOG_LIMIT)
+    if over.any():
+        i = int(np.argmax(over))
+        raise EvaluationOverflowError(
+            f"log magnitude {log_mag[i]:.3g} exceeds double-precision range at s={float(s[i])}"
+        )
+    values = np.where(net > 0, math.inf, 0.0)
+    values[finite] = sign[finite] * np.array(list(map(math.exp, log_mag[finite].tolist())))
+    return values, np.where(net > 0, "pole", np.where(net < 0, "zero", "finite"))
 
 
 def evaluate(expr: GammaRatioExpr, s: float) -> GammaValue:
-    """Evaluate the ratio at real s with pole/zero classification.
-
-    Singular Gamma arguments are never exponentiated.  With k hits in the
-    numerator and l in the denominator, k > l is a pole, k < l a zero, and
-    k == l the finite limit obtained from the leading Laurent coefficients
-    (-1)^k / (k! * u) of each singular factor.
-    """
-    log_mag = math.log(float(expr.prefactor))
-    alpha, beta = expr.two_power
-    log_mag += (float(alpha) * s + float(beta)) * math.log(2.0)
-    sign = 1.0
-    net = 0
-    for factors, side in ((expr.numerator, 1.0), (expr.denominator, -1.0)):
-        for u, a in factors:
-            x = float(u) * s + float(a)
-            k = _singular_order(x, TOL_POLE)
-            if k is None:
-                lg, sg = _signed_loggamma(x)
-                log_mag += side * lg
-                sign *= sg
-            else:
-                net += int(side)
-                # leading Laurent coefficient of Gamma at -k, up to the
-                # simple factor 1/(u*(s - s0)) shared by paired hits
-                log_mag += side * (-math.lgamma(k + 1) - math.log(float(u)))
-                if k % 2:
-                    sign = -sign
-    if net > 0:
-        return GammaValue(math.inf, "pole")
-    if net < 0:
-        return GammaValue(0.0, "zero")
-    if abs(log_mag) > _LOG_LIMIT:
-        raise EvaluationOverflowError(
-            f"log magnitude {log_mag:.3g} exceeds double-precision range at s={s}"
-        )
-    return GammaValue(sign * math.exp(log_mag), "finite")
+    """Evaluate the ratio at real s with pole/zero classification."""
+    values, classes = _evaluate_grid(expr, [s])
+    return GammaValue(float(values[0]), str(classes[0]))
 
 
 def main_term_scalar(
@@ -262,35 +263,21 @@ def nonvanishing_scan(
         tau = witness_ktype(sigma, d)
     sigma_dual = dual(sigma)
     expr = cfunction_expr(tau, sigma_dual, d)
-    points = [float(s) for s in grid]
-    values = [evaluate(expr, s) for s in points]
-    rows = []
-    last_sign = 0
-    sign_changes = 0
-    min_abs = math.inf
-    zeros = poles = 0
-    for s, gv in zip(points, values):
-        rows.append((s, gv.value, gv.classification))
-        if gv.classification == "zero":
-            zeros += 1
-        elif gv.classification == "pole":
-            poles += 1
-        else:
-            min_abs = min(min_abs, abs(gv.value))
-            this_sign = (gv.value > 0) - (gv.value < 0)
-            if this_sign and last_sign and this_sign != last_sign:
-                sign_changes += 1
-            if this_sign:
-                last_sign = this_sign
-    passed = zeros == 0 and poles == 0 and min_abs > TOL_NONVANISH
+    points = np.array([float(s) for s in grid])
+    values, classes = _evaluate_grid(expr, points)
+    finite = values[classes == "finite"]
+    signs = np.sign(finite[finite != 0])
+    min_abs = float(np.abs(finite).min()) if finite.size else math.inf
+    zeros = int(np.count_nonzero(classes == "zero"))
+    poles = int(np.count_nonzero(classes == "pole"))
     return ScanReport(
         sigma=sigma,
         sigma_dual=sigma_dual,
         tau=tau,
-        rows=tuple(rows),
+        rows=tuple(zip(points.tolist(), values.tolist(), classes.tolist())),
         min_abs=min_abs,
         zero_count=zeros,
         pole_count=poles,
-        sign_changes=sign_changes,
-        passed=passed,
+        sign_changes=int(np.count_nonzero(signs[1:] != signs[:-1])),
+        passed=zeros == 0 and poles == 0 and min_abs > TOL_NONVANISH,
     )

@@ -31,7 +31,6 @@ from . import (
     halfopen_grid,
     invert_interval,
     laplace_numeric,
-    main_term_scalar,
     minimal_ktypes,
     minimality_norm,
     nonvanishing_scan,

@@ -99,10 +99,12 @@ class GapParameters:
     kappa1: float
 
     def __post_init__(self):
+        if self.d < 1:
+            raise ValueError(f"d must be >= 1, got {self.d}")
         if self.delta is not None and not self.d / 2 < self.delta <= self.d:
             raise ValueError(f"delta must lie in (d/2, d], got {self.delta}")
-        if not self.kappa_gamma > 0:
-            raise ValueError("kappa_gamma must be positive")
+        if not 0 < self.kappa_gamma < math.inf:
+            raise ValueError(f"kappa_gamma must be positive and finite, got {self.kappa_gamma}")
         if self.delta is not None and self.kappa_gamma > self.delta - self.d / 2:
             raise ValueError("kappa_gamma cannot exceed delta - d/2")
         if not self.kappa1 < self.kappa0 <= 1:

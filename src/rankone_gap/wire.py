@@ -6,6 +6,8 @@ it is read, instead of a TypeError or AttributeError deep in a constructor.
 
 from __future__ import annotations
 
+import math
+
 
 def as_object(value, what: str) -> dict:
     if not isinstance(value, dict):
@@ -27,14 +29,20 @@ def as_objects(value, what: str) -> list[dict]:
 
 
 def _scalar(value):
-    if isinstance(value, (dict, list)) or value is None:
+    if isinstance(value, (dict, list, bool)) or value is None:
         raise ValueError(f"expected a number, got {type(value).__name__}")
     return value
 
 
 def real(value) -> float:
-    return float(_scalar(value))
+    out = float(_scalar(value))
+    if not math.isfinite(out):
+        raise ValueError(f"expected a finite number, got {value}")
+    return out
 
 
 def integer(value) -> int:
-    return int(_scalar(value))
+    value = _scalar(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value}")
+    return int(value)

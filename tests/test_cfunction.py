@@ -2,6 +2,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -12,6 +13,7 @@ from rankone_gap import (
     cfunction_expr,
     dimension,
     dual,
+    enumerate_ktypes_containing,
     enumerate_weights,
     evaluate,
     halfopen_grid,
@@ -213,3 +215,80 @@ def test_halfopen_grid_endpoints():
     assert len(grid) == 101
     assert grid[0] > 1.0
     assert grid[-1] == 2.0
+
+
+def mp_ratio(expr, s):
+    """The ratio at s from its Gamma factors in 30-digit mpmath; rgamma is
+    entire, so denominator factors may sit anywhere."""
+    with mpmath.workdps(30):
+        s = mpmath.mpf(s)
+
+        def mp(q):
+            return mpmath.mpf(q.numerator) / q.denominator
+
+        alpha, beta = expr.two_power
+        out = mp(expr.prefactor) * mpmath.power(2, mp(alpha) * s + mp(beta))
+        for u, a in expr.numerator:
+            out *= mpmath.gamma(mp(u) * s + mp(a))
+        for u, a in expr.denominator:
+            out *= mpmath.rgamma(mp(u) * s + mp(a))
+        return out
+
+
+def singular_slopes(factors, s0):
+    """Slopes u of the factors whose argument u*s0 + a is a non-positive integer."""
+    return [u for u, a in factors if (u * s0 + a).denominator == 1 and u * s0 + a <= 0]
+
+
+# within TOL_POLE = 1e-9 of a hit in the argument, so 4.5e-10 in s at slope 2
+PAIRED_OFFSETS = (1e-10, -2e-10, 4.5e-10, -4.5e-10, 9e-10, -9e-10)
+
+
+def paired_cases(d, limit=4):
+    """(sigma, tau, points): ratios whose numerator and denominator have
+    equally many singular Gamma arguments at a half-integer s0, and the points
+    near s0 at which every one of them counts as a hit."""
+    found = []
+    for sigma in enumerate_weights(d, 2):
+        for tau in enumerate_ktypes_containing(dual(sigma), 3):
+            expr = cfunction_expr(tau, dual(sigma), d)
+            for k in range(-4 * d, 4 * d + 1):
+                s0 = Fraction(k, 2)
+                num = singular_slopes(expr.numerator, s0)
+                den = singular_slopes(expr.denominator, s0)
+                if num and len(num) == len(den):
+                    slope = max(num + den)
+                    points = [float(s0) + off for off in PAIRED_OFFSETS if slope * abs(off) < 1e-9]
+                    found.append((sigma, tau, points))
+                    if len(found) == limit:
+                        return found
+    return found
+
+
+class TestPairedSingularities:
+    """Near a point where numerator and denominator Gamma poles pair up, the
+    value is the ratio at s, not its limit at the singular point."""
+
+    def test_d8_witness_value(self):
+        expr = cfunction_expr(validate(9, (3, 3, 3, 0)), validate(8, (3, 3, 0, 0)), 8)
+        s = -6.999999999055044
+        gv = evaluate(expr, s)
+        assert gv.classification == "finite"
+        assert gv.value == pytest.approx(float(mp_ratio(expr, s)), rel=1e-12)
+        assert gv.value == pytest.approx(165.000000357182, rel=1e-14)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_offsets_from_half_integers(self, d):
+        cases = paired_cases(d)
+        assert cases
+        for sigma, tau, points in cases:
+            expr = cfunction_expr(tau, dual(sigma), d)
+            for s in points:
+                gv = evaluate(expr, s)
+                assert gv.classification == "finite", (d, sigma, s)
+                ref = float(mp_ratio(expr, s))
+                assert gv.value == pytest.approx(ref, rel=1e-12), (d, sigma, s)
+            report = nonvanishing_scan(sigma, d, points, tau=tau)
+            assert report.rows == tuple(
+                (s, evaluate(expr, s).value, evaluate(expr, s).classification) for s in points
+            )

@@ -1,11 +1,12 @@
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankone_gap import GapParameters, HighestWeight, RealLineMeasure, SpectralModel
@@ -119,12 +120,32 @@ class TestInputErrors:
             ({"densities": [{"a": 0, "b": 1, "coeffs_re": "12"}]}, TRANSFORM_ARGV),
             ({"d": 2, "delta": 1.5, "channels": [1]}, POLES_ARGV),
             ({"rows": [[1, 2], [3, 4]]}, ["sim", "rank", "--q", DOC]),
+            ({"d": 2.7, "delta": 1.5, "channels": []}, POLES_ARGV),
+            ({"d": True, "delta": 1.0, "channels": []}, POLES_ARGV),
+            (
+                {
+                    "d": 2,
+                    "delta": 1.5,
+                    "channels": [
+                        {
+                            "sigma": {"n": 2, "entries": [0.9]},
+                            "measure": {"atoms": [], "densities": []},
+                        }
+                    ],
+                },
+                ["gap", "verdict", "--model", DOC],
+            ),
+            ({"densities": [{"a": 0, "b": 1, "coeffs_re": [math.nan]}]}, TRANSFORM_ARGV),
         ],
     )
     def test_nested_malformed_document(self, capsys, tmp_path, doc, argv):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
         self.assert_input_error(capsys, with_doc(argv, str(path)))
+
+    def test_gap_params_domain(self, capsys):
+        self.assert_input_error(capsys, ["gap", "params", "--kappa-gamma", "inf", "--d", "2"])
+        self.assert_input_error(capsys, ["gap", "params", "--kappa-gamma", "1", "--d", "0"])
 
     def test_quadrature_error(self, capsys, tmp_path, monkeypatch):
         import rankone_gap.cli as cli
@@ -247,6 +268,57 @@ def test_mutated_document_keeps_exit_contract(case):
     code, _, err = first
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+EXTREME_REALS = [math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, -0.0, -1.0, -2.5]
+reals = st.sampled_from(EXTREME_REALS) | st.floats(-20, 20)
+CFUN_CASES = [("2", "0", "0"), ("3", "1", "1,1"), ("8", "3,3,0,0", "3,3,3,0")]
+
+
+def option(name, value):
+    """``--name=value``, so that values such as ``-inf`` are not read as options."""
+    return f"--{name}={value!r}"
+
+
+@st.composite
+def fuzzed_argv(draw):
+    d, sigma, tau = draw(st.sampled_from(CFUN_CASES))
+    cfun = ["--d", d, "--sigma", sigma]
+    command = draw(st.sampled_from(["eval", "scan", "params"]))
+    if command == "eval":
+        return ["cfun", "eval", *cfun, "--tau", tau, option("s", draw(reals))]
+    if command == "scan":
+        argv = ["cfun", "scan", *cfun, "--grid", str(draw(st.integers(-1, 50)))]
+        for name in ("s-min", "s-max"):
+            if draw(st.booleans()):
+                argv.append(option(name, draw(reals)))
+        return argv
+    argv = ["gap", "params", option("kappa-gamma", draw(reals))]
+    argv.append(f"--d={draw(st.sampled_from([-1, 0, 1, 2, 5, 10**400]) | st.integers(-5, 20))}")
+    if draw(st.booleans()):
+        argv.append(option("delta", draw(reals)))
+    return argv
+
+
+def refuse_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+@settings(max_examples=50, deadline=None)
+@given(fuzzed_argv())
+@example(["gap", "params", "--kappa-gamma=inf", "--d=2"])
+@example(["cfun", "eval", "--d", "3", "--sigma", "1", "--tau", "1,1", "--s=-1e308"])
+def test_fuzzed_argv_keeps_exit_contract(argv):
+    """Extreme numbers in argv: exit 0, 1 or 2, never a traceback, the same
+    bytes on a rerun, and stdout JSON without NaN or Infinity."""
+    first = run_captured(argv)
+    assert run_captured(argv) == first
+    code, out, err = first
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    for line in out.splitlines():
+        if line.startswith("{"):
+            json.loads(line, parse_constant=refuse_constant)
 
 
 class TestJsonRoundTrips:
