@@ -54,7 +54,6 @@ from .measures import (
     interval_mass_exact,
 )
 from .stieltjes import (
-    DetectorParams,
     DetectorReport,
     InversionResult,
     SingularPointError,

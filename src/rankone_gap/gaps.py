@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .measures import RealLineMeasure
 from .weights import HighestWeight
+from .wire import integer, real
 
 
 @dataclass(frozen=True)
@@ -133,11 +134,11 @@ class GapParameters:
     @classmethod
     def from_json(cls, data: dict) -> "GapParameters":
         return cls(
-            d=int(data["d"]),
-            delta=None if data.get("delta") is None else float(data["delta"]),
-            kappa_gamma=float(data["kappa_gamma"]),
-            kappa0=float(data["kappa0"]),
-            kappa1=float(data["kappa1"]),
+            d=integer(data["d"]),
+            delta=None if data.get("delta") is None else real(data["delta"]),
+            kappa_gamma=real(data["kappa_gamma"]),
+            kappa0=real(data["kappa0"]),
+            kappa1=real(data["kappa1"]),
         )
 
 

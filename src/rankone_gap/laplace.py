@@ -13,6 +13,11 @@ two ways: truncated quadrature with an analytic tail bound, and the closed
 channel sum  B(z) = sum int c(s)/(z+delta-s) dm(s)  whose only pole in the
 probe strip, after subtracting the mass at delta, would come from spectral
 mass strictly below delta.
+
+Every channel quantity (the correlation, the tail bound, the closed sum and
+the residue at z = 0) reads one measure, the pushforward
+nu = sum_channels c(s) dm(s) of ``pushforward_measure``; the closed sum is
+its Stieltjes transform at z + delta.
 """
 
 from __future__ import annotations
@@ -23,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaps import continuation_width, parameter_interval
-from .measures import Atom, DensityPiece, RealLineMeasure
+from .measures import Atom, DensityPiece, RealLineMeasure, interval_mass
 from .quadrature import integrate_adaptive
-from .stieltjes import SingularPointError, TOL_SUPPORT, cauchy_density_integral
+from .stieltjes import transform
 from .weights import HighestWeight
 from .wire import as_list, as_objects, integer, real
 
@@ -133,47 +138,23 @@ def correlation(model: SpectralModel, t):
     t_flat = np.atleast_1d(t_arr).ravel()
     if np.any(t_flat < 0):
         raise ValueError("correlation is defined for t >= 0")
+    nu = pushforward_measure(model)
     out = np.zeros(t_flat.shape, dtype=complex)
     d = model.d
-    for ch in model.channels:
-        for atom in ch.measure.atoms:
-            out += atom.weight * ch.coeff_at(atom.location) * np.exp(
-                -(d - atom.location) * t_flat
-            )
-        for piece in ch.measure.pieces:
-            if piece.is_zero():
-                continue
+    for atom in nu.atoms:
+        out += atom.weight * np.exp(-(d - atom.location) * t_flat)
+    for piece in nu.pieces:
+        if piece.is_zero():
+            continue
 
-            def integrand(s, _p=piece, _c=ch):
-                return (
-                    _p(s)[None, :]
-                    * _c.coeff_at(s)[None, :]
-                    * np.exp(-(d - s[None, :]) * t_flat[:, None])
-                )
+        def integrand(s, _p=piece):
+            return _p(s)[None, :] * np.exp(-(d - s[None, :]) * t_flat[:, None])
 
-            res = integrate_adaptive(integrand, piece.lo, piece.hi, tol=TOL_QUAD)
-            out += res.value
+        out += integrate_adaptive(integrand, piece.lo, piece.hi, tol=TOL_QUAD).value
     out += remainder_term(model, t_flat)
     if scalar:
         return complex(out[0])
     return out.reshape(t_arr.shape)
-
-
-def _channel_tail_exponents(model: SpectralModel, re_z: np.ndarray):
-    """Per-channel slowest exponents Re z + delta - sup(support)."""
-    sups = []
-    for ch in model.channels:
-        bounds = ch.measure.support_bounds()
-        if bounds is not None:
-            sups.append(bounds[1])
-    if not sups:
-        return None
-    return re_z + model.delta - max(sups)
-
-
-def _poly_abs_peak(coeffs, lo: float, hi: float) -> float:
-    big = max(abs(lo), abs(hi))
-    return float(sum(abs(c) * big**k for k, c in enumerate(np.atleast_1d(coeffs))))
 
 
 def truncation_bound(
@@ -182,30 +163,16 @@ def truncation_bound(
     """Analytic bound on the discarded tail of the Laplace integral."""
     re_z = np.atleast_1d(np.asarray(z, dtype=complex)).real
     bound = np.zeros(re_z.shape)
+    nu = pushforward_measure(model)
     d, delta = model.d, model.delta
-    for ch in model.channels:
-        for atom in ch.measure.atoms:
-            a = re_z + delta - atom.location
-            if np.any(a <= 0):
-                raise ValueError("Re z too far left: channel tail diverges")
-            bound += (
-                abs(atom.weight)
-                * abs(complex(ch.coeff_at(atom.location)))
-                * np.exp(-a * t_max)
-                / a
-            )
-        for piece in ch.measure.pieces:
-            if piece.is_zero():
-                continue
-            a = re_z + delta - piece.hi
-            if np.any(a <= 0):
-                raise ValueError("Re z too far left: channel tail diverges")
-            mass = (piece.hi - piece.lo) * _poly_abs_peak(
-                _polymul(piece.coeffs, np.asarray(ch.coeff, dtype=complex)),
-                piece.lo,
-                piece.hi,
-            )
-            bound += mass * np.exp(-a * t_max) / a
+    tails = [(abs(a.weight), a.location) for a in nu.atoms] + [
+        (p.variation_bound(), p.hi) for p in nu.pieces if not p.is_zero()
+    ]
+    for mass, sup in tails:
+        a = re_z + delta - sup
+        if np.any(a <= 0):
+            raise ValueError("Re z too far left: channel tail diverges")
+        bound += mass * np.exp(-a * t_max) / a
     if include_remainder and model.tempered_amplitude > 0:
         a = re_z + delta - d / 2
         if np.any(a <= 0):
@@ -230,9 +197,9 @@ def laplace_numeric(
 ) -> LaplaceResult:
     """Truncated quadrature of the Laplace transform plus its tail bound.
 
-    Requires Re z to the right of every channel's sup-support minus delta
-    (and of d/2 - delta when the tempered term is present) so the discarded
-    tail admits the reported bound.
+    Requires Re z to the right of the pushforward measure's sup-support minus
+    delta (and of d/2 - delta when the tempered term is present) so the
+    discarded tail admits the reported bound.
     """
     z_arr = np.asarray(z, dtype=complex)
     scalar = z_arr.ndim == 0
@@ -254,46 +221,22 @@ def laplace_numeric(
 
 
 def laplace_closed(model: SpectralModel, z):
-    """Channel sum B(z) = sum_ch int c(s)/(z + delta - s) dm(s).
+    """Channel sum B(z) = sum_ch int c(s)/(z + delta - s) dm(s), the Stieltjes
+    transform of the pushforward measure at z + delta.
 
-    Atom terms are exact; density terms are integrated in closed form.
     Raises SingularPointError on the pole set z = s - delta.
     """
-    z_arr = np.asarray(z, dtype=complex)
-    scalar = z_arr.ndim == 0
-    z_flat = np.atleast_1d(z_arr).ravel()
-    w = z_flat + model.delta  # evaluate measures at z + delta
-    out = np.zeros(z_flat.shape, dtype=complex)
-    for ch in model.channels:
-        dist = ch.measure.distance_to_support(w)
-        if np.any(dist < TOL_SUPPORT):
-            raise SingularPointError("z collides with the pole set of the channel sum")
-        for atom in ch.measure.atoms:
-            out += atom.weight * ch.coeff_at(atom.location) / (w - atom.location)
-        for piece in ch.measure.pieces:
-            if piece.is_zero():
-                continue
-            out += cauchy_density_integral(
-                _polymul(piece.coeffs, ch.coeff), piece.lo, piece.hi, w
-            )
-    if scalar:
-        return complex(out[0])
-    return out.reshape(z_arr.shape)
+    return transform(pushforward_measure(model), np.asarray(z, dtype=complex) + model.delta)
 
 
 def residue_at_zero(model: SpectralModel) -> complex:
     """Total atomic mass at s = delta weighted by the main-term coefficient."""
-    res = 0j
-    for ch in model.channels:
-        for atom in ch.measure.atoms:
-            if atom.location == model.delta:
-                res += atom.weight * complex(ch.coeff_at(atom.location))
-    return res
+    return interval_mass(pushforward_measure(model), model.delta, model.delta)
 
 
 def pushforward_measure(model: SpectralModel) -> RealLineMeasure:
-    """The measure sum_ch c_sigma(s) dm_sigma(s); its Stieltjes transform at
-    z + delta equals the closed channel sum."""
+    """The measure sum_ch c_sigma(s) dm_sigma(s), the one place a channel's
+    coefficient multiplies its measure."""
     total = RealLineMeasure()
     for ch in model.channels:
         c = np.asarray(ch.coeff, dtype=complex)
@@ -395,7 +338,8 @@ def pole_probe(
     eta: float,
     x_step: float = 1e-3,
 ) -> PoleProbeReport:
-    """Probe the subtracted transform G(z) = B(z) - residue/z on |Re z| < eta.
+    """Probe the subtracted transform G(z) = B(z) - residue/z on |Re z| < eta;
+    both terms read one pushforward measure.
 
     After removing the simple pole carried by the mass at delta, any channel
     mass strictly inside (delta - eta, delta) leaves a singularity on the
@@ -410,11 +354,12 @@ def pole_probe(
     """
     if not 0 < eta < continuation_width(model.delta, model.d):
         raise ValueError("eta must lie in (0, continuation width)")
-    res0 = residue_at_zero(model)
+    nu = pushforward_measure(model)
+    res0 = interval_mass(nu, model.delta, model.delta)
 
     def G(z):
         z = np.asarray(z, dtype=complex)
-        vals = np.atleast_1d(laplace_closed(model, z)).astype(complex)
+        vals = np.atleast_1d(transform(nu, z + model.delta)).astype(complex)
         zf = np.atleast_1d(z).ravel()
         nonzero = zf != 0
         flat = vals.ravel()

@@ -52,6 +52,11 @@ class DensityPiece:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
+    def variation_bound(self) -> float:
+        """Width times the coefficient bound sum |c_k| max(|lo|, |hi|)**k."""
+        big = max(abs(self.lo), abs(self.hi))
+        return (self.hi - self.lo) * sum(abs(c) * big**k for k, c in enumerate(self.coeffs))
+
     def to_json(self) -> dict:
         return {
             "a": self.lo,
@@ -151,11 +156,7 @@ class RealLineMeasure:
     def total_variation_bound(self) -> float:
         """Upper bound on the total variation (coefficient bound per piece)."""
         tv = sum(abs(a.weight) for a in self.atoms)
-        for p in self.pieces:
-            big = max(abs(p.lo), abs(p.hi))
-            peak = sum(abs(c) * big**k for k, c in enumerate(p.coeffs))
-            tv += (p.hi - p.lo) * peak
-        return float(tv)
+        return float(sum((p.variation_bound() for p in self.pieces), tv))
 
     def to_json(self) -> dict:
         return {

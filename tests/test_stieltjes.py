@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from rankone_gap import (
-    DetectorParams,
     RealLineMeasure,
     SingularPointError,
     half_weighted_mass,
@@ -14,7 +13,8 @@ from rankone_gap import (
     transform,
     vanishing_detector,
 )
-from rankone_gap.quadrature import rectangle_contour_sum
+
+from oracle_numerics import rectangle_contour_sum
 
 ATOM0 = RealLineMeasure(atoms=((0.0, 1.0),))
 UNIFORM01 = RealLineMeasure(pieces=((0.0, 1.0, (1.0,)),))
@@ -122,6 +122,10 @@ class TestTransform:
         with pytest.raises(SingularPointError):
             transform(UNIFORM01, 0.5 + 0j)
 
+    def test_zero_atom_is_off_the_support(self):
+        nu = RealLineMeasure(atoms=((0.5, 0.0), (0.2, 1.0)))
+        assert transform(nu, 0.5 + 0j) == pytest.approx(1 / 0.3, rel=1e-15)
+
     def test_conjugate_symmetry_for_real_measures(self):
         nu = RealLineMeasure(atoms=((0.1, -0.7),), pieces=((0.2, 0.9, (1.0, 1.0)),))
         for z in (0.4 + 0.3j, -1.0 + 2j, 2.5 + 0.01j):
@@ -184,9 +188,6 @@ class TestInvertInterval:
 
 
 class TestVanishingDetector:
-    def probe(self):
-        return DetectorParams(n_subintervals=4, k_max=8)
-
     def make_callables(self, nu):
         re_part, im_part = nu.real_part(), nu.imag_part()
         return (
@@ -196,26 +197,26 @@ class TestVanishingDetector:
 
     def test_disjoint_support_vanishes(self):
         F_re, F_im = self.make_callables(RealLineMeasure(atoms=((2.0, 1.0),)))
-        report = vanishing_detector(F_re, F_im, 0.0, 1.0, self.probe())
+        report = vanishing_detector(F_re, F_im, 0.0, 1.0)
         assert report.verdict == "vanishes"
         assert not report.continuity_blowup
 
     def test_density_mass_detected(self):
         F_re, F_im = self.make_callables(UNIFORM01)
-        report = vanishing_detector(F_re, F_im, 0.3, 0.6, self.probe())
+        report = vanishing_detector(F_re, F_im, 0.3, 0.6)
         assert report.verdict == "does_not_vanish"
         assert sum(m.real for m in report.sub_masses) == pytest.approx(0.3, abs=1e-3)
 
     def test_interior_atom_detected_with_blowup(self):
         F_re, F_im = self.make_callables(RealLineMeasure(atoms=((0.5, 1.0),)))
-        report = vanishing_detector(F_re, F_im, 0.0, 1.0, self.probe())
+        report = vanishing_detector(F_re, F_im, 0.0, 1.0)
         assert report.verdict == "does_not_vanish"
         assert report.continuity_blowup
 
     def test_complex_weights(self):
         nu = RealLineMeasure(atoms=((0.5, 1.0j),))
         F_re, F_im = self.make_callables(nu)
-        report = vanishing_detector(F_re, F_im, 0.0, 1.0, self.probe())
+        report = vanishing_detector(F_re, F_im, 0.0, 1.0)
         assert report.verdict == "does_not_vanish"
         assert sum(m.imag for m in report.sub_masses) == pytest.approx(1.0, abs=1e-3)
 
