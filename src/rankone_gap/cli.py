@@ -1,15 +1,20 @@
 """Command-line interface: one binary exposing every module as subcommands.
 
-Numeric output carries 15 significant digits; JSON documents are emitted in
-compact form with a schema tag, and identical argv (plus seed) always yields
-byte-identical output.  Exit codes: 0 success/PASS, 1 FAIL verdicts, 2 usage
-or input errors (one ``error:`` line on stderr, no traceback).
+Every subcommand is declared once, in ``COMMANDS`` (group -> subcommand ->
+options); ``run`` builds the options of the named group only and dispatches
+through ``HANDLERS``.  Float options and the parts of ``--z-grid`` must be
+finite.  Numeric output carries 15 significant digits; JSON documents are
+emitted in compact form with a schema tag, and identical argv (plus seed)
+always yields byte-identical output.  Exit codes: 0 success/PASS, 1 FAIL
+verdicts, 2 usage or input errors (one ``error:`` line on stderr, no
+traceback).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -62,21 +67,13 @@ def round15(obj):
     return obj
 
 
-def emit_json(doc, schema: bool = True) -> None:
-    if schema and isinstance(doc, dict) and "schema" not in doc:
-        doc = {"schema": SCHEMA, **doc}
-    print(json.dumps(round15(doc), separators=(",", ":")))
-
-
-def parse_entries(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(tok) for tok in text.split(","))
+def emit_json(doc: dict) -> None:
+    print(json.dumps(round15({"schema": SCHEMA, **doc}), separators=(",", ":")))
 
 
 def parse_weight(n: int, entries: str) -> HighestWeight:
-    return HighestWeight(n, parse_entries(entries))
+    text = entries.strip()
+    return HighestWeight(n, tuple(int(tok) for tok in text.split(",")) if text else ())
 
 
 def load_json(path: str) -> dict:
@@ -84,103 +81,91 @@ def load_json(path: str) -> dict:
         return as_object(json.load(fh), f"{path}: top level")
 
 
+def finite(text: str) -> float:
+    """argparse type of every float option: neither nan nor +-inf.  Not a
+    ValueError, which argparse would print as usage: ``run`` prints one line."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise FloatingPointError(f"{text!r} is not a finite number")
+    return value
+
+
+finite.__name__ = "float"  # argparse names it in "invalid float value: 'x'"
+
+
 def parse_zgrid(spec: str):
     """'lo:hi:n' or 'lo:hi:n:im' -> complex grid along a horizontal line."""
     parts = spec.split(":")
     if len(parts) not in (3, 4):
         raise ValueError("z-grid must be lo:hi:n or lo:hi:n:im")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    im = float(parts[3]) if len(parts) == 4 else 0.0
+    lo, hi, n = finite(parts[0]), finite(parts[1]), int(parts[2])
+    im = finite(parts[3]) if len(parts) == 4 else 0.0
     return [complex(x, im) for x in np.linspace(lo, hi, n)]
 
 
-def build_parser() -> argparse.ArgumentParser:
+REQ = {"required": True}
+INT = {"type": int, "required": True}
+FLOAT = {"type": finite, "required": True}
+ENTRIES = ("--entries", {"default": ""})
+D_SIGMA = [("--d", INT), ("--sigma", {"default": ""})]
+MODEL = ("--model", REQ)
+INTERVAL = [MODEL, ("--a", FLOAT), ("--b", FLOAT)]
+T_MAX = ("--t-max", {"type": finite, "default": 80.0})
+
+# group -> subcommand -> [(flag, add_argument kwargs)], in help order
+COMMANDS = {
+    "duals": {
+        **dict.fromkeys(("validate", "dual", "branch", "dim"), [("--n", INT), ENTRIES]),
+        "enum": [("--n", {**INT, "help": "group size of sigma"}), ENTRIES, ("--bound", INT)],
+    },
+    "ktype": {
+        "lambda": [("--d", INT), ("--tau", REQ)],
+        "witness": D_SIGMA,
+        "minimal": [*D_SIGMA, ("--bound", {"type": int})],
+    },
+    "cfun": {
+        "expr": [*D_SIGMA, ("--tau", REQ)],
+        "eval": [*D_SIGMA, ("--tau", REQ), ("--s", FLOAT)],
+        "scan": [*D_SIGMA, ("--tau", {}), ("--grid", {"type": int, "default": 101}),
+                 ("--s-min", {"type": finite}), ("--s-max", {"type": finite})],
+    },
+    "gap": {
+        "params": [("--kappa-gamma", FLOAT), ("--d", INT), ("--delta", {"type": finite})],
+        "verdict": [MODEL],
+    },
+    "stieltjes": {
+        "transform": [MODEL, ("--z-re", FLOAT), ("--z-im", FLOAT)],
+        "invert": [*INTERVAL, ("--y0", {"type": finite, "default": 0.5}),
+                   ("--k-max", {"type": int, "default": 12})],
+        "detect": INTERVAL,
+    },
+    "sim": {
+        "correlate": [MODEL, ("--t-max", FLOAT), ("--dt", FLOAT),
+                      ("--out", {"choices": ["csv"], "default": "csv"})],
+        "laplace": [MODEL, ("--z-grid", REQ), T_MAX],
+        "compare": [MODEL, ("--closed-model", {}), ("--z-grid", {"default": "0.2:2:10"}), T_MAX],
+        "poles": [MODEL, ("--eta", FLOAT), ("--x-step", {"type": finite, "default": 1e-3})],
+        "rank": [("--q", REQ)],
+    },
+}
+
+
+def build_parser(group: str | None) -> argparse.ArgumentParser:
+    """The top-level parser with subcommands for ``group`` only; every other
+    group is a bare name, which is all that top-level usage and errors show."""
     top = argparse.ArgumentParser(prog="rankone-gap")
-    top.add_argument("--workers", type=int, default=None, help="accepted; has no effect")
+    top.add_argument("--workers", type=int, help="accepted; has no effect")
     top.add_argument("--seed", type=int, default=0, help="accepted; has no effect")
     groups = top.add_subparsers(dest="group", required=True)
-
-    duals = groups.add_parser("duals").add_subparsers(dest="cmd", required=True)
-    for name in ("validate", "dual", "branch", "dim"):
-        p = duals.add_parser(name)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--entries", default="")
-    p = duals.add_parser("enum")
-    p.add_argument("--n", type=int, required=True, help="group size of sigma")
-    p.add_argument("--entries", default="")
-    p.add_argument("--bound", type=int, required=True)
-
-    ktype = groups.add_parser("ktype").add_subparsers(dest="cmd", required=True)
-    p = ktype.add_parser("lambda")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--tau", required=True)
-    p = ktype.add_parser("witness")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--sigma", default="")
-    p = ktype.add_parser("minimal")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--sigma", default="")
-    p.add_argument("--bound", type=int, default=None)
-
-    cfun = groups.add_parser("cfun").add_subparsers(dest="cmd", required=True)
-    for name in ("expr", "eval", "scan"):
-        p = cfun.add_parser(name)
-        p.add_argument("--d", type=int, required=True)
-        p.add_argument("--sigma", default="")
-        if name != "scan":
-            p.add_argument("--tau", required=True)
-        else:
-            p.add_argument("--tau", default=None)
-        if name == "eval":
-            p.add_argument("--s", type=float, required=True)
-        if name == "scan":
-            p.add_argument("--grid", type=int, default=101)
-            p.add_argument("--s-min", type=float, default=None)
-            p.add_argument("--s-max", type=float, default=None)
-
-    gap = groups.add_parser("gap").add_subparsers(dest="cmd", required=True)
-    p = gap.add_parser("params")
-    p.add_argument("--kappa-gamma", type=float, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--delta", type=float, default=None)
-    p = gap.add_parser("verdict")
-    p.add_argument("--model", required=True)
-
-    st = groups.add_parser("stieltjes").add_subparsers(dest="cmd", required=True)
-    p = st.add_parser("transform")
-    p.add_argument("--model", required=True)
-    p.add_argument("--z-re", type=float, required=True)
-    p.add_argument("--z-im", type=float, required=True)
-    for name in ("invert", "detect"):
-        p = st.add_parser(name)
-        p.add_argument("--model", required=True)
-        p.add_argument("--a", type=float, required=True)
-        p.add_argument("--b", type=float, required=True)
-        if name == "invert":
-            p.add_argument("--y0", type=float, default=0.5)
-            p.add_argument("--k-max", type=int, default=12)
-
-    sim = groups.add_parser("sim").add_subparsers(dest="cmd", required=True)
-    p = sim.add_parser("correlate")
-    p.add_argument("--model", required=True)
-    p.add_argument("--t-max", type=float, required=True)
-    p.add_argument("--dt", type=float, required=True)
-    p.add_argument("--out", choices=["csv"], default="csv")
-    p = sim.add_parser("laplace")
-    p.add_argument("--model", required=True)
-    p.add_argument("--z-grid", required=True)
-    p.add_argument("--t-max", type=float, default=80.0)
-    p = sim.add_parser("compare")
-    p.add_argument("--model", required=True)
-    p.add_argument("--closed-model", default=None)
-    p.add_argument("--z-grid", default="0.2:2:10")
-    p.add_argument("--t-max", type=float, default=80.0)
-    p = sim.add_parser("poles")
-    p.add_argument("--model", required=True)
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--x-step", type=float, default=1e-3)
-    p = sim.add_parser("rank")
-    p.add_argument("--q", required=True)
+    for name, commands in COMMANDS.items():
+        if name != group:
+            groups.add_parser(name, add_help=False)
+            continue
+        subs = groups.add_parser(name).add_subparsers(dest="cmd", required=True)
+        for cmd, options in commands.items():
+            p = subs.add_parser(cmd)
+            for flag, kwargs in options:
+                p.add_argument(flag, **kwargs)
     return top
 
 
@@ -346,29 +331,25 @@ def _cmd_sim(args) -> int:
     return 0 if report.passed else 1
 
 
+HANDLERS = {"duals": _cmd_duals, "ktype": _cmd_ktype, "cfun": _cmd_cfun, "gap": _cmd_gap,
+            "stieltjes": _cmd_stieltjes, "sim": _cmd_sim}
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse picks the group from the first positional; any group name
+    # before it is an int option's value and stops parsing with an error
+    group = next((token for token in argv if token in COMMANDS), None)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(group).parse_args(argv)
+        # a numpy overflow or invalid value is an input error, not a warning
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return HANDLERS[args.group](args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        if args.group == "duals":
-            return _cmd_duals(args)
-        if args.group == "ktype":
-            return _cmd_ktype(args)
-        if args.group == "cfun":
-            return _cmd_cfun(args)
-        if args.group == "gap":
-            return _cmd_gap(args)
-        if args.group == "stieltjes":
-            return _cmd_stieltjes(args)
-        if args.group == "sim":
-            return _cmd_sim(args)
-    except (ValueError, OSError, KeyError, ArithmeticError, QuadratureError) as err:
+    except (ValueError, OSError, KeyError, ArithmeticError, MemoryError, QuadratureError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    return 2
 
 
 def main() -> None:

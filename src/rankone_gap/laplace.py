@@ -165,21 +165,23 @@ def truncation_bound(
     bound = np.zeros(re_z.shape)
     nu = pushforward_measure(model)
     d, delta = model.d, model.delta
-    tails = [(abs(a.weight), a.location) for a in nu.atoms] + [
+    tails = [(abs(a.weight), a.location) for a in nu.atoms if a.weight != 0] + [
         (p.variation_bound(), p.hi) for p in nu.pieces if not p.is_zero()
     ]
-    for mass, sup in tails:
-        a = re_z + delta - sup
-        if np.any(a <= 0):
-            raise ValueError("Re z too far left: channel tail diverges")
-        bound += mass * np.exp(-a * t_max) / a
-    if include_remainder and model.tempered_amplitude > 0:
-        a = re_z + delta - d / 2
-        if np.any(a <= 0):
-            raise ValueError("Re z too far left: tempered tail diverges")
-        bound += model.tempered_amplitude * np.exp(-a * t_max) * (
-            (1 + t_max) / a + 1 / a**2
-        )
+    # where a * t_max overflows, exp(-a * t_max) is 0 as it should be
+    with np.errstate(over="ignore"):
+        for mass, sup in tails:
+            a = re_z + delta - sup
+            if np.any(a <= 0):
+                raise ValueError("Re z too far left: channel tail diverges")
+            bound += mass * np.exp(-a * t_max) / a
+        if include_remainder and model.tempered_amplitude > 0:
+            a = re_z + delta - d / 2
+            if np.any(a <= 0):
+                raise ValueError("Re z too far left: tempered tail diverges")
+            bound += model.tempered_amplitude * np.exp(-a * t_max) * (
+                (1 + t_max) / a + 1 / a**2
+            )
     return bound
 
 
@@ -354,6 +356,8 @@ def pole_probe(
     """
     if not 0 < eta < continuation_width(model.delta, model.d):
         raise ValueError("eta must lie in (0, continuation width)")
+    if not x_step > 0:
+        raise ValueError("x_step must be positive")
     nu = pushforward_measure(model)
     res0 = interval_mass(nu, model.delta, model.delta)
 
@@ -367,9 +371,11 @@ def pole_probe(
         return flat.reshape(z.shape) if z.shape else flat[0]
 
     xs = np.arange(-eta + x_step, eta - x_step / 2, x_step)
+    if xs.size < 2:
+        raise ValueError("x_step leaves no contour cell in (-eta, eta)")
     samples = np.abs(np.array([G(xs + 1j * y) for y in (1e-4, 1e-3, 1e-2)]))
-    max_abs = float(samples.max()) if samples.size else 0.0
-    baseline = float(np.median(samples[-1])) if samples.size else 0.0
+    max_abs = float(samples.max())
+    baseline = float(np.median(samples[-1]))
     blowup = max_abs > 20.0 * (baseline + 1e-12) and max_abs > 1e-6
 
     # Contour cells between consecutive grid points, height +-x_step.  All
@@ -378,24 +384,21 @@ def pole_probe(
     y_c = x_step
     gl_x, gl_w = np.polynomial.legendre.leggauss(16)
     n_cells = xs.size - 1
-    max_contour = 0.0
-    pole_location = None
-    if n_cells >= 1:
-        mids = 0.5 * (xs[:-1] + xs[1:])
-        halves = 0.5 * (xs[1:] - xs[:-1])
-        hx = (mids[:, None] + halves[:, None] * gl_x[None, :]).ravel()
-        h_bot = G(hx - 1j * y_c).reshape(n_cells, -1)
-        h_top = G(hx + 1j * y_c).reshape(n_cells, -1)
-        h_int_bot = (h_bot * gl_w).sum(axis=1) * halves
-        h_int_top = (h_top * gl_w).sum(axis=1) * halves
-        vy = (y_c * gl_x)[None, :] + np.zeros((xs.size, 1))
-        vz = (xs[:, None] + 1j * vy).ravel()
-        v_vals = G(vz).reshape(xs.size, -1)
-        v_int = 1j * y_c * (v_vals * gl_w).sum(axis=1)
-        cells = np.abs(h_int_bot + v_int[1:] - h_int_top - v_int[:-1]) / (2 * math.pi)
-        k = int(np.argmax(cells))
-        max_contour = float(cells[k])
-        pole_location = float(mids[k])
+    mids = 0.5 * (xs[:-1] + xs[1:])
+    halves = 0.5 * (xs[1:] - xs[:-1])
+    hx = (mids[:, None] + halves[:, None] * gl_x[None, :]).ravel()
+    h_bot = G(hx - 1j * y_c).reshape(n_cells, -1)
+    h_top = G(hx + 1j * y_c).reshape(n_cells, -1)
+    h_int_bot = (h_bot * gl_w).sum(axis=1) * halves
+    h_int_top = (h_top * gl_w).sum(axis=1) * halves
+    vy = (y_c * gl_x)[None, :] + np.zeros((xs.size, 1))
+    vz = (xs[:, None] + 1j * vy).ravel()
+    v_vals = G(vz).reshape(xs.size, -1)
+    v_int = 1j * y_c * (v_vals * gl_w).sum(axis=1)
+    cells = np.abs(h_int_bot + v_int[1:] - h_int_top - v_int[:-1]) / (2 * math.pi)
+    k = int(np.argmax(cells))
+    max_contour = float(cells[k])
+    pole_location = float(mids[k])
     contour_detected = max_contour > 1e-6
     failed = blowup and contour_detected
     return PoleProbeReport(

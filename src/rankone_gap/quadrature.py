@@ -59,7 +59,7 @@ GAUSS_WEIGHTS = _GW
 
 
 class QuadratureError(RuntimeError):
-    """Panel budget exhausted before the requested tolerance was met."""
+    """Panel budget exhausted, or an integrand value that is not finite."""
 
 
 @dataclass
@@ -89,8 +89,8 @@ def integrate_adaptive(
     Local acceptance uses the standard width-proportional budget
     ``tol * (hi - lo) / (b - a)`` so accepted-panel errors sum below ``tol``.
     Panels 2**-48 of the interval wide are accepted as they stand (the result
-    is then marked not converged); more than 200,000 panels in all raise
-    QuadratureError.
+    is then marked not converged); more than 200,000 panels in all, or a nan
+    or infinite integrand value, raise QuadratureError.
     """
     if not b > a:
         raise ValueError("integration interval must satisfy a < b")
@@ -115,10 +115,13 @@ def integrate_adaptive(
         panels_spent += lo.size
         if panels_spent > 200_000:
             raise QuadratureError(f"adaptive quadrature exceeded 200000 panels on [{a}, {b}]")
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        x = (mid[:, None] + half[:, None] * NODES[None, :]).ravel()
-        y = np.asarray(f(x))
+        with np.errstate(all="ignore"):  # the check below reports what would warn
+            mid = 0.5 * (lo + hi)
+            half = 0.5 * (hi - lo)
+            x = (mid[:, None] + half[:, None] * NODES[None, :]).ravel()
+            y = np.asarray(f(x))
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise QuadratureError(f"integrand is not finite on [{a}, {b}]")
         y = y.reshape(y.shape[:-1] + (lo.size, 15))
         k15 = (y * KRONROD_WEIGHTS).sum(axis=-1) * half
         g7 = (y * GAUSS_WEIGHTS).sum(axis=-1) * half

@@ -149,6 +149,8 @@ def invert_interval(
     """
     if not b > a:
         raise ValueError("need a < b")
+    if not (y0 > 0 and k_max >= 2):
+        raise ValueError("need y0 > 0 and k_max >= 2")
     Fv = _ensure_vectorized(F)
     levels = []
     edges = None

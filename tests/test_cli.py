@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +21,20 @@ POLES_ARGV = ["sim", "poles", "--model", DOC, "--eta", "0.1"]
 
 def with_doc(argv, path):
     return [path if a == DOC else a for a in argv]
+
+
+MEASURE, MODEL = "<measure>", "<model>"
+
+
+def with_docs(argv, directory):
+    """``argv`` with MEASURE and MODEL replaced by files holding VALID_MEASURE
+    and VALID_MODEL, written to ``directory``."""
+    paths = {}
+    for name, doc in ((MEASURE, VALID_MEASURE), (MODEL, VALID_MODEL)):
+        paths[name] = os.path.join(directory, name.strip("<>") + ".json")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    return [paths.get(a, a) for a in argv]
 
 
 def invoke(capsys, argv):
@@ -147,6 +162,35 @@ class TestInputErrors:
         self.assert_input_error(capsys, ["gap", "params", "--kappa-gamma", "inf", "--d", "2"])
         self.assert_input_error(capsys, ["gap", "params", "--kappa-gamma", "1", "--d", "0"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stieltjes", "transform", "--model", MEASURE, "--z-re", "nan", "--z-im", "1"],
+            ["stieltjes", "transform", "--model", MEASURE, "--z-re", "0", "--z-im", "inf"],
+            ["stieltjes", "invert", "--model", MEASURE, "--a", "0", "--b", "1", "--y0", "0"],
+            ["stieltjes", "invert", "--model", MEASURE, "--a", "0", "--b", "1", "--y0", "-1"],
+            ["stieltjes", "invert", "--model", MEASURE, "--a", "0", "--b", "1", "--k-max", "1"],
+            ["sim", "poles", "--model", MODEL, "--eta", "0.4", "--x-step", "-1"],
+            ["sim", "poles", "--model", MODEL, "--eta", "0.4", "--x-step", "0.4"],
+            ["sim", "laplace", "--model", MODEL, "--z-grid", "0.2:2:3", "--t-max", "1e308"],
+            ["sim", "laplace", "--model", MODEL, "--z-grid", "nan:2:3"],
+        ],
+    )
+    def test_domain_without_an_answer(self, capsys, tmp_path, argv):
+        # each printed a value with exit 0, escaped with a traceback, or ran
+        # out of memory
+        self.assert_input_error(capsys, with_docs(argv, tmp_path))
+
+    def test_memory_error(self, capsys, tmp_path, monkeypatch):
+        import rankone_gap.cli as cli
+
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli, "correlation", fail)
+        argv = ["sim", "correlate", "--model", MODEL, "--t-max", "1e9", "--dt", "1e-3"]
+        self.assert_input_error(capsys, with_docs(argv, tmp_path))
+
     def test_quadrature_error(self, capsys, tmp_path, monkeypatch):
         import rankone_gap.cli as cli
         from rankone_gap.quadrature import QuadratureError
@@ -163,6 +207,11 @@ class TestInputErrors:
 
 
 class TestDeterminism:
+    def test_run_reads_sys_argv(self, capsys, monkeypatch):
+        argv = ["duals", "dual", "--n", "2", "--entries", "3"]
+        monkeypatch.setattr("sys.argv", ["rankone-gap", *argv])
+        assert invoke(capsys, None) == invoke(capsys, argv)
+
     def test_identical_bytes(self, capsys):
         argv = ["cfun", "scan", "--d", "3", "--sigma", "1", "--grid", "11"]
         _, first, _ = invoke(capsys, argv)
@@ -272,6 +321,8 @@ def test_mutated_document_keeps_exit_contract(case):
 
 EXTREME_REALS = [math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, -0.0, -1.0, -2.5]
 reals = st.sampled_from(EXTREME_REALS) | st.floats(-20, 20)
+# steps never tiny: a step of 1e-300 asks for a grid no machine can hold
+steps = st.sampled_from(EXTREME_REALS) | st.floats(0.05, 2)
 CFUN_CASES = [("2", "0", "0"), ("3", "1", "1,1"), ("8", "3,3,0,0", "3,3,3,0")]
 
 
@@ -280,11 +331,28 @@ def option(name, value):
     return f"--{name}={value!r}"
 
 
+# Im z of 1e308 oscillates faster than any quadrature resolves: the Laplace
+# quadrature then spends its whole panel budget, about 4 GB, before it fails
+im_parts = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0]) | st.floats(-20, 20)
+
+
+@st.composite
+def z_grid(draw):
+    parts = [repr(draw(reals)), repr(draw(reals)), str(draw(st.integers(-1, 4)))]
+    if draw(st.booleans()):
+        parts.append(repr(draw(im_parts)))
+    return "--z-grid=" + ":".join(parts)
+
+
 @st.composite
 def fuzzed_argv(draw):
     d, sigma, tau = draw(st.sampled_from(CFUN_CASES))
     cfun = ["--d", d, "--sigma", sigma]
-    command = draw(st.sampled_from(["eval", "scan", "params"]))
+    maybe = lambda opt: [opt] if draw(st.booleans()) else []  # noqa: E731
+    command = draw(st.sampled_from(
+        ["eval", "scan", "params", "transform", "invert", "detect",
+         "poles", "correlate", "laplace", "compare"]
+    ))
     if command == "eval":
         return ["cfun", "eval", *cfun, "--tau", tau, option("s", draw(reals))]
     if command == "scan":
@@ -293,32 +361,75 @@ def fuzzed_argv(draw):
             if draw(st.booleans()):
                 argv.append(option(name, draw(reals)))
         return argv
-    argv = ["gap", "params", option("kappa-gamma", draw(reals))]
-    argv.append(f"--d={draw(st.sampled_from([-1, 0, 1, 2, 5, 10**400]) | st.integers(-5, 20))}")
-    if draw(st.booleans()):
-        argv.append(option("delta", draw(reals)))
-    return argv
+    if command == "params":
+        argv = ["gap", "params", option("kappa-gamma", draw(reals))]
+        argv.append(f"--d={draw(st.sampled_from([-1, 0, 1, 2, 5, 10**400]) | st.integers(-5, 20))}")
+        if draw(st.booleans()):
+            argv.append(option("delta", draw(reals)))
+        return argv
+    if command == "transform":
+        z = [option("z-re", draw(reals)), option("z-im", draw(reals))]
+        return ["stieltjes", "transform", "--model", MEASURE, *z]
+    if command in ("invert", "detect"):
+        argv = ["stieltjes", command, "--model", MEASURE]
+        argv += [option("a", draw(reals)), option("b", draw(reals))]
+        if command == "invert":
+            argv += maybe(option("y0", draw(reals)))
+            argv += maybe(f"--k-max={draw(st.integers(-1, 12))}")
+        return argv
+    argv = ["sim", command, "--model", MODEL]
+    if command == "poles":
+        return argv + [option("eta", draw(reals)), *maybe(option("x-step", draw(steps)))]
+    if command == "correlate":
+        return argv + [option("t-max", draw(reals)), option("dt", draw(steps))]
+    grid = draw(z_grid())
+    argv += [grid] if command == "laplace" else maybe(grid)
+    return argv + maybe(option("t-max", draw(reals)))
 
 
 def refuse_constant(name):
     raise ValueError(f"non-JSON constant {name}")
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(fuzzed_argv())
 @example(["gap", "params", "--kappa-gamma=inf", "--d=2"])
 @example(["cfun", "eval", "--d", "3", "--sigma", "1", "--tau", "1,1", "--s=-1e308"])
+@example(["stieltjes", "transform", "--model", MEASURE, "--z-re=nan", "--z-im=1"])
+@example(["stieltjes", "transform", "--model", MEASURE, "--z-re=0", "--z-im=inf"])
+@example(["stieltjes", "invert", "--model", MEASURE, "--a=0", "--b=1", "--y0=nan"])
+@example(["stieltjes", "invert", "--model", MEASURE, "--a=0", "--b=1", "--y0=0"])
+@example(["stieltjes", "invert", "--model", MEASURE, "--a=0", "--b=1", "--y0=-1"])
+@example(["stieltjes", "invert", "--model", MEASURE, "--a=0", "--b=1", "--k-max=1"])
+@example(["sim", "poles", "--model", MODEL, "--eta=0.4", "--x-step=-1"])
+@example(["sim", "laplace", "--model", MODEL, "--z-grid=0.2:2:3", "--t-max=1e308"])
+@example(["sim", "laplace", "--model", MODEL, "--z-grid=0.2:2:3", "--t-max=inf"])
+@example(["sim", "laplace", "--model", MODEL, "--z-grid=nan:2:3"])
+@example(["sim", "compare", "--model", MODEL, "--t-max=1e308"])
 def test_fuzzed_argv_keeps_exit_contract(argv):
     """Extreme numbers in argv: exit 0, 1 or 2, never a traceback, the same
     bytes on a rerun, and stdout JSON without NaN or Infinity."""
-    first = run_captured(argv)
-    assert run_captured(argv) == first
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = with_docs(argv, tmp)
+        first = run_captured(argv)
+        assert run_captured(argv) == first
     code, out, err = first
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     for line in out.splitlines():
         if line.startswith("{"):
             json.loads(line, parse_constant=refuse_constant)
+
+
+USAGE_CASES = json.loads((Path(__file__).parent / "cli_usage_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", USAGE_CASES, ids=lambda case: " ".join(case["argv"]) or "(none)")
+def test_usage_bytes_unchanged(case, monkeypatch):
+    """Help, usage and error output, byte for byte, as the CLI printed it
+    before its parser was built from one declaration table (commit fb24dec)."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_captured(case["argv"]) == (case["code"], case["out"], case["err"])
 
 
 class TestJsonRoundTrips:

@@ -208,6 +208,16 @@ class TestLaplace:
         assert abs(res.value - 5.0) <= res.truncation_bound
         assert laplace_closed(model, -0.1) == pytest.approx(5.0, rel=1e-12)
 
+    def test_zero_weight_atom_adds_no_tail(self):
+        # the coefficient 1.45 - s vanishes at the atom at 1.45, so Re z may
+        # lie left of 1.45 - delta; the value is 1 * 0.25 / (z + delta - 1.2)
+        measure = RealLineMeasure(atoms=((1.2, 1.0), (1.45, 1.0)))
+        model = SpectralModel(d=2, delta=1.5, channels=(Channel(TRIV2, measure, (1.45, -1.0)),))
+        res = laplace_numeric(model, -0.1)
+        closed = laplace_closed(model, -0.1)
+        assert closed == pytest.approx(1.25, rel=1e-12)
+        assert abs(res.value - closed) <= res.truncation_bound
+
     def test_truncation_bound_honest_as_t_max_grows(self):
         model = atom_model(2, 1.5, [(1.45, 1.0)])
         z = 0.2 + 0j
@@ -295,6 +305,12 @@ class TestPoleProbe:
     def test_eta_domain(self):
         with pytest.raises(ValueError):
             pole_probe(atom_model(2, 1.5, [(1.5, 1.0)]), 0.6)
+
+    @pytest.mark.parametrize("x_step", [-1.0, 0.0, math.nan, 0.5, 1e308])
+    def test_x_step_domain(self, x_step):
+        # a grid without a contour cell sampled nothing and reported a pass
+        with pytest.raises(ValueError, match="x_step"):
+            pole_probe(atom_model(2, 1.8, [(1.8, 1.0)]), 0.5, x_step=x_step)
 
 
 class TestRank:

@@ -7,6 +7,7 @@ from rankone_gap.quadrature import (
     GAUSS_WEIGHTS,
     KRONROD_WEIGHTS,
     NODES,
+    QuadratureError,
     integrate_adaptive,
     richardson_sweep,
 )
@@ -81,6 +82,20 @@ class TestAdaptive:
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             integrate_adaptive(np.exp, 1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_integrand_ends_quadrature(self, bad):
+        # nan panels never converge: without the check they split until the
+        # 200,000-panel budget runs out
+        with pytest.raises(QuadratureError, match="not finite"):
+            integrate_adaptive(lambda x: np.where(x > 0.7, bad, x), 0.0, 1.0)
+        with pytest.raises(QuadratureError, match="not finite"):
+            integrate_adaptive(lambda x: np.stack([x, np.where(x > 0.7, bad, x) * 1j]), 0.0, 1.0)
+
+    def test_abscissa_overflow_ends_quadrature(self):
+        # panel midpoints near 1e308 overflow to inf, where exp(-x) is a finite 0
+        with pytest.raises(QuadratureError, match="not finite"):
+            integrate_adaptive(lambda x: np.exp(-x), 0.0, 1e308)
 
 
 class TestRichardson:

@@ -171,6 +171,14 @@ class TestInvertInterval:
         budget = r1.error_estimate + r2.error_estimate + r12.error_estimate + 1e-9
         assert abs(r12.value - (r1.value + r2.value)) <= budget
 
+    @pytest.mark.parametrize("y0, k_max", [(0.0, 12), (-1.0, 12), (math.nan, 12), (0.5, 1)])
+    def test_domain(self, y0, k_max):
+        # y0 <= 0 gave mass 0 (or minus the mass) marked converged; k_max = 1
+        # leaves one extrapolated value and no error estimate
+        atom = RealLineMeasure(atoms=((0.3, 1.0),))
+        with pytest.raises(ValueError, match="y0 > 0 and k_max >= 2"):
+            invert_interval(lambda z: transform(atom, z), 0.0, 1.0, y0=y0, k_max=k_max)
+
     def test_scalar_callable_accepted(self):
         res = invert_interval(lambda z: complex(transform(ATOM0, complex(z))), -1, 1)
         assert res.value == pytest.approx(1.0, abs=1e-5)
