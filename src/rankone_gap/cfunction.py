@@ -40,6 +40,7 @@ class EvaluationOverflowError(ArithmeticError):
 
 
 GammaFactor = tuple[Fraction, Fraction]  # Gamma(u*s + a) as (u, a)
+_CLASSES = np.array(["zero", "finite", "pole"])  # indexed by sign(net hits) + 1
 
 
 @dataclass(frozen=True)
@@ -166,6 +167,7 @@ def _evaluate_grid(expr: GammaRatioExpr, s) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(s).all():
         raise ValueError(f"s must be finite, got {s[~np.isfinite(s)][0]}")
     alpha, beta = expr.two_power
+    n = s.size
     net = np.zeros(s.shape, dtype=int)
     sign = np.ones_like(s)
     with np.errstate(over="raise", invalid="raise"):
@@ -176,12 +178,16 @@ def _evaluate_grid(expr: GammaRatioExpr, s) -> tuple[np.ndarray, np.ndarray]:
                 x = float(u) * s + float(a)
                 k = np.round(x)
                 hit = (k <= 0) & (np.abs(x - k) <= TOL_POLE)
-                lg = np.array(list(map(math.lgamma, np.where(hit, 1.0 - x, x).tolist())))
-                log_mag += side * np.where(hit, -lg - math.log(float(u)), lg)
+                if not hit.any():  # no point is singular: no remainder arrays
+                    log_mag += side * np.fromiter(map(math.lgamma, x.tolist()), float, n)
+                    odd = np.floor(x) % 2 == 1
+                else:
+                    lg = np.fromiter(map(math.lgamma, np.where(hit, 1.0 - x, x).tolist()), float, n)
+                    log_mag += side * np.where(hit, -lg - math.log(float(u)), lg)
+                    net += side * hit
+                    odd = np.where(hit, k, np.floor(x)) % 2 == 1
                 # Gamma < 0 on (-2j-1, -2j); eps * Gamma(x) has the sign (-1)^k
-                odd = np.where(hit, k, np.floor(x)) % 2 == 1
                 sign = np.where((x < 0) & odd, -sign, sign)
-                net += side * hit
     finite = net == 0
     over = finite & (np.abs(log_mag) > _LOG_LIMIT)
     if over.any():
@@ -190,8 +196,8 @@ def _evaluate_grid(expr: GammaRatioExpr, s) -> tuple[np.ndarray, np.ndarray]:
             f"log magnitude {log_mag[i]:.3g} exceeds double-precision range at s={float(s[i])}"
         )
     values = np.where(net > 0, math.inf, 0.0)
-    values[finite] = sign[finite] * np.array(list(map(math.exp, log_mag[finite].tolist())))
-    return values, np.where(net > 0, "pole", np.where(net < 0, "zero", "finite"))
+    values[finite] = sign[finite] * np.fromiter(map(math.exp, log_mag[finite].tolist()), float)
+    return values, _CLASSES[np.sign(net) + 1]
 
 
 def evaluate(expr: GammaRatioExpr, s: float) -> GammaValue:
@@ -263,7 +269,7 @@ def nonvanishing_scan(
         tau = witness_ktype(sigma, d)
     sigma_dual = dual(sigma)
     expr = cfunction_expr(tau, sigma_dual, d)
-    points = np.array([float(s) for s in grid])
+    points = np.fromiter(map(float, grid), float)
     values, classes = _evaluate_grid(expr, points)
     finite = values[classes == "finite"]
     signs = np.sign(finite[finite != 0])

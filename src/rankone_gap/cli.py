@@ -4,15 +4,16 @@ Every subcommand is declared once, in ``COMMANDS`` (group -> subcommand ->
 options); ``run`` builds the options of the named group only and dispatches
 through ``HANDLERS``.  Float options and the parts of ``--z-grid`` must be
 finite.  Numeric output carries 15 significant digits; JSON documents are
-emitted in compact form with a schema tag, and identical argv (plus seed)
-always yields byte-identical output.  Exit codes: 0 success/PASS, 1 FAIL
-verdicts, 2 usage or input errors (one ``error:`` line on stderr, no
-traceback).
+emitted in compact form with a schema tag, CSV tables in one write, and
+identical argv (plus seed) always yields byte-identical output.  Exit
+codes: 0 success/PASS, 1 FAIL verdicts, 2 usage or input errors (one
+``error:`` line on stderr, no traceback).
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -65,6 +66,14 @@ def round15(obj):
     if isinstance(obj, (list, tuple)):
         return [round15(v) for v in obj]
     return obj
+
+
+def emit_csv(header: str, rows: list | tuple) -> None:
+    """Write a CSV table with one write: floats as ``%.15g`` (the digits of
+    ``fmt``), strings as they are."""
+    line = ",".join("%s" if isinstance(x, str) else "%.15g" for x in rows[0]) if rows else ""
+    cells = tuple(itertools.chain.from_iterable(rows))
+    sys.stdout.write(f"{header}\n" + (f"{line}\n" * len(rows)) % cells)
 
 
 def emit_json(doc: dict) -> None:
@@ -249,9 +258,7 @@ def _cmd_cfun(args) -> int:
     grid = halfopen_grid(lo, hi, args.grid)
     tau = parse_weight(args.d + 1, args.tau) if args.tau is not None else None
     report = nonvanishing_scan(sigma, args.d, grid, tau=tau)
-    print("s,value,classification")
-    for s, value, cls in report.rows:
-        print(f"{fmt(s)},{fmt(value)},{cls}")
+    emit_csv("s,value,classification", report.rows)
     return 0 if report.passed else 1
 
 
@@ -307,17 +314,15 @@ def _cmd_sim(args) -> int:
         if not args.t_max >= 0:
             raise ValueError("--t-max must be non-negative")
         ts = np.arange(0.0, args.t_max + args.dt / 2, args.dt)
-        values = correlation(model, ts)
-        print("t,re,im")
-        for t, v in zip(ts, np.atleast_1d(values)):
-            print(f"{fmt(t)},{fmt(v.real)},{fmt(v.imag)}")
+        values = np.atleast_1d(correlation(model, ts))
+        emit_csv("t,re,im", list(zip(ts.tolist(), values.real.tolist(), values.imag.tolist())))
         return 0
     if args.cmd == "laplace":
         zs = parse_zgrid(args.z_grid)
         res = laplace_numeric(model, np.array(zs), t_max=args.t_max)
-        print("z_re,z_im,re,im,truncation_bound")
-        for z, v, bnd in zip(zs, np.atleast_1d(res.value), np.atleast_1d(res.truncation_bound)):
-            print(f"{fmt(z.real)},{fmt(z.imag)},{fmt(v.real)},{fmt(v.imag)},{fmt(bnd)}")
+        values, bounds = np.atleast_1d(res.value), np.atleast_1d(res.truncation_bound)
+        emit_csv("z_re,z_im,re,im,truncation_bound",
+                 [(z.real, z.imag, v.real, v.imag, b) for z, v, b in zip(zs, values, bounds)])
         return 0
     if args.cmd == "compare":
         closed = _load_model(args.closed_model) if args.closed_model else None

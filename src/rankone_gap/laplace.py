@@ -203,6 +203,8 @@ def laplace_numeric(
     delta (and of d/2 - delta when the tempered term is present) so the
     discarded tail admits the reported bound.
     """
+    if not t_max > 0:
+        raise ValueError(f"t_max must be positive, got {t_max}")
     z_arr = np.asarray(z, dtype=complex)
     scalar = z_arr.ndim == 0
     z_flat = np.atleast_1d(z_arr).ravel()

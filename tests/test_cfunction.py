@@ -22,6 +22,7 @@ from rankone_gap import (
     validate,
     witness_ktype,
 )
+from rankone_gap.cfunction import TOL_POLE, _evaluate_grid
 
 
 def F(x):
@@ -292,3 +293,53 @@ class TestPairedSingularities:
             assert report.rows == tuple(
                 (s, evaluate(expr, s).value, evaluate(expr, s).classification) for s in points
             )
+
+
+def reference_point(expr, s):
+    """(value, classification) at s one point at a time: the log terms of the
+    factors summed in the order they are written, then one math.exp."""
+    alpha, beta = expr.two_power
+    log_mag = math.log(float(expr.prefactor)) + (float(alpha) * s + float(beta)) * math.log(2.0)
+    sign, net = 1.0, 0
+    for factors, side in ((expr.numerator, 1), (expr.denominator, -1)):
+        for u, a in factors:
+            x = float(u) * s + float(a)
+            k = round(x)
+            if k <= 0 and abs(x - k) <= TOL_POLE:
+                # eps * Gamma(x) = (-1)^k / Gamma(1 - x) up to a factor 1 + O(eps^2)
+                log_mag += side * (-math.lgamma(1.0 - x) - math.log(float(u)))
+                net += side
+                odd = k % 2 == 1
+            else:
+                log_mag += side * math.lgamma(x)
+                odd = math.floor(x) % 2 == 1
+            if x < 0 and odd:
+                sign = -sign
+    if net:
+        return (math.inf, "pole") if net > 0 else (0.0, "zero")
+    return sign * math.exp(log_mag), "finite"
+
+
+def bit_pin_pairs(d):
+    """A witness pair and a non-witness pair (sigma, tau) for SO(d)."""
+    sigma = enumerate_weights(d, 2)[-1]
+    witness = witness_ktype(sigma, d)
+    other = next(t for t in enumerate_ktypes_containing(dual(sigma), 3) if t != witness)
+    return [(sigma, witness), (sigma, other)]
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_evaluate_grid_bits_match_pointwise_reference(d):
+    # == on purpose: a vectorised log-Gamma or exp moves last bits, and so
+    # printed digits
+    classes_seen = set()
+    for sigma, tau in bit_pin_pairs(d):
+        expr = cfunction_expr(tau, dual(sigma), d)
+        for lo in (d / 2, -float(d)):
+            grid = halfopen_grid(lo, float(d), 2000)
+            values, classes = _evaluate_grid(expr, grid)
+            reference = [reference_point(expr, s) for s in grid]
+            assert values.tolist() == [v for v, _ in reference], (d, sigma, tau, lo)
+            assert classes.tolist() == [c for _, c in reference], (d, sigma, tau, lo)
+            classes_seen.update(classes.tolist())
+    assert "finite" in classes_seen

@@ -6,11 +6,21 @@ import os
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rankone_gap import GapParameters, HighestWeight, RealLineMeasure, SpectralModel
+from rankone_gap import (
+    GapParameters,
+    HighestWeight,
+    RealLineMeasure,
+    SpectralModel,
+    correlation,
+    halfopen_grid,
+    laplace_numeric,
+    nonvanishing_scan,
+)
 from rankone_gap.cli import run
 
 
@@ -97,6 +107,7 @@ class TestInputErrors:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
+        return err
 
     @pytest.fixture
     def list_doc(self, tmp_path):
@@ -127,6 +138,16 @@ class TestInputErrors:
         self.assert_input_error(
             capsys, ["sim", "correlate", "--model", model_file, "--t-max", "-1", "--dt", "0.1"]
         )
+
+    @pytest.mark.parametrize("t_max", ["-4.8", "0"])
+    def test_laplace_nonpositive_t_max(self, capsys, tmp_path, t_max):
+        # at Re z = 1e308 the tempered tail bound is inf - inf, so t_max is
+        # checked before the bound is computed
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**VALID_MODEL, "tempered_amplitude": 0.3}))
+        argv = ["sim", "laplace", "--model", str(path), "--z-grid", "1e308:1e308:1"]
+        err = self.assert_input_error(capsys, argv + [f"--t-max={t_max}"])
+        assert err == f"error: t_max must be positive, got {float(t_max)}\n"
 
     @pytest.mark.parametrize(
         "doc, argv",
@@ -536,3 +557,69 @@ class TestFifteenDigits:
         row = out.splitlines()[1].split(",")
         # 1/(s+1) at s = 1.25 has a long expansion; %.15g keeps 15 digits
         assert len(row[1].replace("-", "").replace(".", "").lstrip("0")) >= 14
+
+
+def per_row_table(header, rows):
+    """The CSV table one row at a time, each float as f"{x:.15g}"."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(c if isinstance(c, str) else f"{float(c):.15g}" for c in row))
+    return "".join(line + "\n" for line in lines)
+
+
+class TestCsvTables:
+    """The one-block CSV writer gives the bytes of a row-by-row table."""
+
+    @pytest.mark.parametrize(
+        "sigma, tau, lo, hi, n",
+        [
+            # poles at s = -1 and 0, zeros at s = 3/2 and 5/2, negative values
+            ("0", "2,0", -2.0, 3.0, 10),
+            ("1", None, 1.5, 3.0, 7),
+            ("1", None, 1.5, 3.0, 1),
+        ],
+    )
+    def test_scan(self, capsys, sigma, tau, lo, hi, n):
+        argv = ["cfun", "scan", "--d", "3", "--sigma", sigma, "--grid", str(n)]
+        argv += ["--s-min", str(lo), "--s-max", str(hi)] + (["--tau", tau] if tau else [])
+        tau_w = HighestWeight(4, tuple(int(e) for e in tau.split(","))) if tau else None
+        report = nonvanishing_scan(HighestWeight(3, (int(sigma),)), 3,
+                                   halfopen_grid(lo, hi, n), tau=tau_w)
+        classes = {cls for _, _, cls in report.rows}
+        assert tau is None or {"pole", "zero", "finite"} <= classes
+        _, out, _ = invoke(capsys, argv)
+        assert out == per_row_table("s,value,classification", report.rows)
+
+    # complex coefficients give negative real and imaginary parts
+    SIGNED_MODEL = {
+        **VALID_MODEL,
+        "channels": [
+            {**VALID_MODEL["channels"][0], "coeff_re": [-1.0, 0.5], "coeff_im": [0.0, -0.75]}
+        ],
+    }
+
+    @pytest.mark.parametrize("t_max", ["3", "0"])
+    def test_correlate(self, capsys, tmp_path, t_max):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self.SIGNED_MODEL))
+        ts = np.arange(0.0, float(t_max) + 0.25, 0.5)
+        values = correlation(SpectralModel.from_json(self.SIGNED_MODEL), ts)
+        rows = [(t, v.real, v.imag) for t, v in zip(ts, np.atleast_1d(values))]
+        assert any(v < 0 for row in rows for v in row)
+        _, out, _ = invoke(capsys, ["sim", "correlate", "--model", str(path),
+                                    "--t-max", t_max, "--dt", "0.5"])
+        assert out == per_row_table("t,re,im", rows)
+
+    @pytest.mark.parametrize("spec, zs", [
+        ("0.2:2:4:-0.5", [complex(x, -0.5) for x in np.linspace(0.2, 2, 4)]),
+        ("0.2:2:1", [0.2 + 0j]),
+    ])
+    def test_laplace(self, capsys, tmp_path, spec, zs):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self.SIGNED_MODEL))
+        res = laplace_numeric(SpectralModel.from_json(self.SIGNED_MODEL), np.array(zs))
+        values, bounds = np.atleast_1d(res.value), np.atleast_1d(res.truncation_bound)
+        rows = [(z.real, z.imag, v.real, v.imag, b) for z, v, b in zip(zs, values, bounds)]
+        assert any(v < 0 for row in rows for v in row)
+        _, out, _ = invoke(capsys, ["sim", "laplace", "--model", str(path), "--z-grid", spec])
+        assert out == per_row_table("z_re,z_im,re,im,truncation_bound", rows)
