@@ -178,14 +178,10 @@ def _evaluate_grid(expr: GammaRatioExpr, s) -> tuple[np.ndarray, np.ndarray]:
                 x = float(u) * s + float(a)
                 k = np.round(x)
                 hit = (k <= 0) & (np.abs(x - k) <= TOL_POLE)
-                if not hit.any():  # no point is singular: no remainder arrays
-                    log_mag += side * np.fromiter(map(math.lgamma, x.tolist()), float, n)
-                    odd = np.floor(x) % 2 == 1
-                else:
-                    lg = np.fromiter(map(math.lgamma, np.where(hit, 1.0 - x, x).tolist()), float, n)
-                    log_mag += side * np.where(hit, -lg - math.log(float(u)), lg)
-                    net += side * hit
-                    odd = np.where(hit, k, np.floor(x)) % 2 == 1
+                lg = np.fromiter(map(math.lgamma, np.where(hit, 1.0 - x, x).tolist()), float, n)
+                log_mag += side * np.where(hit, -lg - math.log(float(u)), lg)
+                net += side * hit
+                odd = np.where(hit, k, np.floor(x)) % 2 == 1
                 # Gamma < 0 on (-2j-1, -2j); eps * Gamma(x) has the sign (-1)^k
                 sign = np.where((x < 0) & odd, -sign, sign)
     finite = net == 0
