@@ -8,11 +8,13 @@ integers or half-integers, so identical factors cancel exactly; evaluation of
 the canceled form works through log-Gamma and never multiplies singular
 values.
 
-Classification at a point s: a Gamma argument within ``TOL_POLE`` of a
-non-positive integer is a singular hit.  More hits in the numerator than in
-the denominator make a pole, fewer make a zero, and equal counts give the
-value at s from the exact remainders of the hit factors.  One array evaluator
-serves single points and whole scan grids.
+Classification at a point s: every singular point of a factor Gamma(u*s + a)
+is a half-integer s0, and the factor is a singular hit when u*s0 + a is a
+non-positive integer and |s - s0| <= ``TOL_POLE`` (distance in s, whatever
+the slope u).  More hits in the numerator than in the denominator make a
+pole, fewer make a zero, and equal counts give the value at s from the exact
+remainders of the hit factors.  One array evaluator serves single points and
+whole scan grids.
 """
 
 from __future__ import annotations
@@ -154,14 +156,13 @@ def _evaluate_grid(expr: GammaRatioExpr, s) -> tuple[np.ndarray, np.ndarray]:
 
     Singular Gamma arguments are never exponentiated.  At a hit x = -k + eps,
     eps * Gamma(x) = (-1)^k (pi eps / sin(pi eps)) / Gamma(1 - x), and the
-    sine factor is 1 in double precision for |eps| <= TOL_POLE.  Slopes 1 and
-    2 with half-integer offsets put every hit at s on the same half-integer
-    s0, so with equal counts the leftover 1 / (u * (s - s0)) factors cancel
-    down to the slopes u.  Log terms are added in the order the factors are
-    written and exponentiated point by point with math.exp; np.exp differs
-    from it in the last bit on some inputs, which moves printed digits.  An
-    argument that overflows (|s| near 1e308) raises FloatingPointError, an
-    ArithmeticError.
+    sine factor is 1 in double precision for |eps| <= 2 TOL_POLE.  Every hit
+    at s sits on the same half-integer s0, so with equal counts the leftover
+    1 / (u * (s - s0)) factors cancel down to the slopes u.  Log terms are
+    added in the order the factors are written and exponentiated point by
+    point with math.exp; np.exp differs from it in the last bit on some
+    inputs, which moves printed digits.  An argument that overflows (|s| near
+    1e308) raises FloatingPointError, an ArithmeticError.
     """
     s = np.asarray(s, dtype=float)
     if not np.isfinite(s).all():
@@ -171,13 +172,18 @@ def _evaluate_grid(expr: GammaRatioExpr, s) -> tuple[np.ndarray, np.ndarray]:
     net = np.zeros(s.shape, dtype=int)
     sign = np.ones_like(s)
     with np.errstate(over="raise", invalid="raise"):
+        # every singular point is a half-integer s0: a hit is |s - s0| <= TOL_POLE
+        # (s0 = round(2 s) / 2 without forming 2 s, which overflows near 1e308)
+        whole = np.floor(s)
+        s0 = whole + np.round(2 * (s - whole)) / 2
+        near = np.abs(s - s0) <= TOL_POLE
         two_power = (float(alpha) * s + float(beta)) * math.log(2.0)
         log_mag = math.log(float(expr.prefactor)) + two_power
         for factors, side in ((expr.numerator, 1), (expr.denominator, -1)):
             for u, a in factors:
                 x = float(u) * s + float(a)
-                k = np.round(x)
-                hit = (k <= 0) & (np.abs(x - k) <= TOL_POLE)
+                k = float(u) * s0 + float(a)  # exact: u in {1, 2}, a a half-integer
+                hit = near & (k <= 0) & (k == np.floor(k))
                 lg = np.fromiter(map(math.lgamma, np.where(hit, 1.0 - x, x).tolist()), float, n)
                 log_mag += side * np.where(hit, -lg - math.log(float(u)), lg)
                 net += side * hit
@@ -235,18 +241,6 @@ class ScanReport:
     pole_count: int
     sign_changes: int
     passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "sigma": self.sigma.to_json(),
-            "sigma_dual": self.sigma_dual.to_json(),
-            "tau": self.tau.to_json(),
-            "min_abs": self.min_abs,
-            "zero_count": self.zero_count,
-            "pole_count": self.pole_count,
-            "sign_changes": self.sign_changes,
-            "passed": self.passed,
-        }
 
 
 def nonvanishing_scan(

@@ -108,6 +108,8 @@ def parse_zgrid(spec: str):
     if len(parts) not in (3, 4):
         raise ValueError("z-grid must be lo:hi:n or lo:hi:n:im")
     lo, hi, n = finite(parts[0]), finite(parts[1]), int(parts[2])
+    if n < 1:
+        raise ValueError(f"z-grid {spec!r} needs at least one point")
     im = finite(parts[3]) if len(parts) == 4 else 0.0
     return [complex(x, im) for x in np.linspace(lo, hi, n)]
 
@@ -314,15 +316,15 @@ def _cmd_sim(args) -> int:
         if not args.t_max >= 0:
             raise ValueError("--t-max must be non-negative")
         ts = np.arange(0.0, args.t_max + args.dt / 2, args.dt)
-        values = np.atleast_1d(correlation(model, ts))
+        values = correlation(model, ts)
         emit_csv("t,re,im", list(zip(ts.tolist(), values.real.tolist(), values.imag.tolist())))
         return 0
     if args.cmd == "laplace":
         zs = parse_zgrid(args.z_grid)
         res = laplace_numeric(model, np.array(zs), t_max=args.t_max)
-        values, bounds = np.atleast_1d(res.value), np.atleast_1d(res.truncation_bound)
         emit_csv("z_re,z_im,re,im,truncation_bound",
-                 [(z.real, z.imag, v.real, v.imag, b) for z, v, b in zip(zs, values, bounds)])
+                 [(z.real, z.imag, v.real, v.imag, b)
+                  for z, v, b in zip(zs, res.value, res.truncation_bound)])
         return 0
     if args.cmd == "compare":
         closed = _load_model(args.closed_model) if args.closed_model else None

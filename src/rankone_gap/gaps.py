@@ -31,9 +31,6 @@ class Interval:
     def contains(self, x: float) -> bool:
         return self.lo < x <= self.hi
 
-    def to_json(self) -> dict:
-        return {"lo": self.lo, "hi": self.hi, "empty": self.is_empty}
-
 
 def last_positive_index(sigma: HighestWeight) -> int:
     """Largest 1-based index with a positive coordinate; 0 for the trivial type.

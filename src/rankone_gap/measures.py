@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .wire import as_list, as_object, as_objects, real
+from .wire import as_object, as_objects, complex_list, real
 
 
 @dataclass(frozen=True)
@@ -101,21 +101,17 @@ class RealLineMeasure:
         )
 
     def real_part(self) -> "RealLineMeasure":
-        return RealLineMeasure(
-            atoms=tuple(Atom(a.location, complex(a.weight.real)) for a in self.atoms),
-            pieces=tuple(
-                DensityPiece(p.lo, p.hi, tuple(complex(c.real) for c in p.coeffs))
-                for p in self.pieces
-            ),
-        )
+        return self._map_weights(lambda c: complex(c.real))
 
     def imag_part(self) -> "RealLineMeasure":
+        return self._map_weights(lambda c: complex(c.imag))
+
+    def _map_weights(self, f) -> "RealLineMeasure":
+        """The measure with ``f`` applied to every atom weight and density
+        coefficient."""
         return RealLineMeasure(
-            atoms=tuple(Atom(a.location, complex(a.weight.imag)) for a in self.atoms),
-            pieces=tuple(
-                DensityPiece(p.lo, p.hi, tuple(complex(c.imag) for c in p.coeffs))
-                for p in self.pieces
-            ),
+            atoms=tuple(Atom(a.location, f(a.weight)) for a in self.atoms),
+            pieces=tuple(DensityPiece(p.lo, p.hi, tuple(map(f, p.coeffs))) for p in self.pieces),
         )
 
     def __add__(self, other: "RealLineMeasure") -> "RealLineMeasure":
@@ -173,12 +169,8 @@ class RealLineMeasure:
         )
         pieces = []
         for p in as_objects(data.get("densities", []), "densities"):
-            re = [real(c) for c in as_list(p.get("coeffs_re", []), "coeffs_re")]
-            im = [real(c) for c in as_list(p.get("coeffs_im", []), "coeffs_im")]
-            size = max(len(re), len(im))
-            re += [0.0] * (size - len(re))
-            im += [0.0] * (size - len(im))
-            pieces.append(DensityPiece(real(p["a"]), real(p["b"]), tuple(map(complex, re, im))))
+            coeffs = complex_list(p, "coeffs")
+            pieces.append(DensityPiece(real(p["a"]), real(p["b"]), coeffs))
         return cls(atoms=atoms, pieces=tuple(pieces))
 
 

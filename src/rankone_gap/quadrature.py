@@ -127,7 +127,7 @@ def integrate_adaptive(
         g7 = (y * GAUSS_WEIGHTS).sum(axis=-1) * half
         err = np.abs(k15 - g7)
         if err.ndim > 1:
-            err = err.reshape(-1, lo.size).max(axis=0)
+            err = err.reshape(-1, lo.size).max(axis=0, initial=0.0)  # 0 for an empty batch
 
         budget = tol * (hi - lo) / width
         done = err <= budget

@@ -82,38 +82,24 @@ def cauchy_density_integral(coeffs, lo: float, hi: float, z):
 def transform(nu: RealLineMeasure, z):
     """Stieltjes transform sum_atoms w/(z-t) + sum_pieces int rho(t)/(z-t) dt.
 
-    ``z`` may be a scalar or an array; density pieces are integrated in
-    closed form.
+    Elementwise over a complex array ``z`` of any shape, with the result in
+    that shape; a scalar or 0-d ``z`` gives a numpy complex scalar.  Density
+    pieces are integrated in closed form.
     """
-    z_arr = np.asarray(z, dtype=complex)
-    scalar = z_arr.ndim == 0
-    z_flat = np.atleast_1d(z_arr).ravel()
-    dist = nu.distance_to_support(z_flat)
+    z = np.asarray(z, dtype=complex)
+    dist = nu.distance_to_support(z)
     if np.any(dist < TOL_SUPPORT):
-        bad = z_flat[int(np.argmin(dist))]
+        bad = z.flat[int(np.argmin(dist))]
         raise SingularPointError(f"evaluation point {bad} is on the support")
-    out = np.zeros(z_flat.shape, dtype=complex)
+    out = np.zeros(z.shape, dtype=complex)
     for atom in nu.atoms:
         if atom.weight != 0:  # a zero atom is off the support: z may sit on it
-            out += atom.weight / (z_flat - atom.location)
+            out += atom.weight / (z - atom.location)
     for piece in nu.pieces:
         if piece.is_zero():
             continue
-        out += cauchy_density_integral(piece.coeffs, piece.lo, piece.hi, z_flat)
-    if scalar:
-        return complex(out[0])
-    return out.reshape(z_arr.shape)
-
-
-def _ensure_vectorized(F):
-    probe = np.array([0.123 + 1.7j, -0.456 + 2.3j])
-    try:
-        out = np.asarray(F(probe))
-        if out.shape == probe.shape:
-            return F
-    except Exception:
-        pass
-    return np.vectorize(F, otypes=[complex])
+        out += cauchy_density_integral(piece.coeffs, piece.lo, piece.hi, z)
+    return out[()]
 
 
 @dataclass
@@ -122,14 +108,6 @@ class InversionResult:
     error_estimate: float
     converged: bool
     levels: tuple[float, ...] = field(default_factory=tuple)
-
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "error_estimate": self.error_estimate,
-            "converged": self.converged,
-            "levels": list(self.levels),
-        }
 
 
 def invert_interval(
@@ -141,8 +119,10 @@ def invert_interval(
 ) -> InversionResult:
     """Boundary-value inversion of a Stieltjes transform over [a, b].
 
-    Computes I(y_k) = -(1/pi) int_a^b Im F(x + i y_k) dx on y_k = y0 * 2^-k,
-    k = 0..k_max, then extrapolates with one first-order Richardson sweep.
+    ``F`` maps a complex array to an array of the same shape, as
+    ``lambda z: transform(nu, z)`` does.  Computes I(y_k) =
+    -(1/pi) int_a^b Im F(x + i y_k) dx on y_k = y0 * 2^-k, k = 0..k_max,
+    then extrapolates with one first-order Richardson sweep.
     The recovered quantity is the half-sum (nu([a,b)) + nu((a,b]))/2, so an
     atom exactly at an endpoint contributes half its weight.  A result whose
     error estimate exceeds ``TOL_CONVERGED`` is flagged, not suppressed.
@@ -151,7 +131,6 @@ def invert_interval(
         raise ValueError("need a < b")
     if not (y0 > 0 and k_max >= 2):
         raise ValueError("need y0 > 0 and k_max >= 2")
-    Fv = _ensure_vectorized(F)
     levels = []
     edges = None
     quad_err = 0.0
@@ -159,7 +138,7 @@ def invert_interval(
         y = y0 * 2.0**-k
 
         def integrand(x, _y=y):
-            return np.asarray(Fv(x + 1j * _y)).imag
+            return F(x + 1j * _y).imag
 
         res = integrate_adaptive(
             integrand,
@@ -211,15 +190,14 @@ class DetectorReport:
 def vanishing_detector(F_re, F_im, a: float, b: float) -> DetectorReport:
     """Decide whether the measure behind a pair of transforms vanishes on (a, b).
 
-    ``F_re`` and ``F_im`` are the transforms of the real and imaginary parts.
+    ``F_re`` and ``F_im`` are the transforms of the real and imaginary parts,
+    called on complex arrays as in ``invert_interval``.
     The detector probes continuity up to the interval (sup over an x-grid of
     |F(x+iy) - F(x+iy/2)| along decreasing y) and inverts the transform on a
     grid of subintervals.  'vanishes' needs all sub-masses below tolerance
     and decaying continuity indicators; 'does_not_vanish' needs a converged
     sub-mass above tolerance; everything else is 'inconclusive'.
     """
-    F_re = _ensure_vectorized(F_re)
-    F_im = _ensure_vectorized(F_im)
     xs = np.linspace(a, b, DETECT_N_X)
 
     def continuity(F):

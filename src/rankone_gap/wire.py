@@ -7,6 +7,7 @@ it is read, instead of a TypeError or AttributeError deep in a constructor.
 from __future__ import annotations
 
 import math
+from itertools import zip_longest
 
 
 def as_object(value, what: str) -> dict:
@@ -46,3 +47,11 @@ def integer(value) -> int:
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value}")
     return int(value)
+
+
+def complex_list(doc: dict, key: str) -> tuple[complex, ...]:
+    """The complex sequence stored as the real lists ``<key>_re`` and
+    ``<key>_im``; either may be missing, and the shorter is padded with 0."""
+    re = [real(c) for c in as_list(doc.get(f"{key}_re", []), f"{key}_re")]
+    im = [real(c) for c in as_list(doc.get(f"{key}_im", []), f"{key}_im")]
+    return tuple(complex(x, y) for x, y in zip_longest(re, im, fillvalue=0.0))

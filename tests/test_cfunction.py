@@ -241,8 +241,9 @@ def singular_slopes(factors, s0):
     return [u for u, a in factors if (u * s0 + a).denominator == 1 and u * s0 + a <= 0]
 
 
-# within TOL_POLE = 1e-9 of a hit in the argument, so 4.5e-10 in s at slope 2
-PAIRED_OFFSETS = (1e-10, -2e-10, 4.5e-10, -4.5e-10, 9e-10, -9e-10)
+# within TOL_POLE = 1e-9 of s0 in s, whatever the slopes: from 5e-10 on, the
+# argument of a slope-2 factor (odd d, Gamma(2s)) is more than 1e-9 from its pole
+PAIRED_OFFSETS = (1e-10, -2e-10, 4.5e-10, -4.5e-10, 6e-10, -6e-10, 9e-10, -9e-10)
 
 
 def paired_cases(d, limit=4):
@@ -258,9 +259,7 @@ def paired_cases(d, limit=4):
                 num = singular_slopes(expr.numerator, s0)
                 den = singular_slopes(expr.denominator, s0)
                 if num and len(num) == len(den):
-                    slope = max(num + den)
-                    points = [float(s0) + off for off in PAIRED_OFFSETS if slope * abs(off) < 1e-9]
-                    found.append((sigma, tau, points))
+                    found.append((sigma, tau, [float(s0) + off for off in PAIRED_OFFSETS]))
                     if len(found) == limit:
                         return found
     return found
@@ -277,6 +276,14 @@ class TestPairedSingularities:
         assert gv.classification == "finite"
         assert gv.value == pytest.approx(float(mp_ratio(expr, s)), rel=1e-12)
         assert gv.value == pytest.approx(165.000000357182, rel=1e-14)
+
+    def test_d3_slope_two_hit_counts_by_distance_in_s(self):
+        # 9e-10 from s0 = -1/2 in s, 1.8e-9 in the argument of Gamma(2s)
+        expr = cfunction_expr(validate(4, (0, 0)), dual(validate(3, (0,))), 3)
+        gv = evaluate(expr, -0.5 + 9e-10)
+        assert gv.classification == "finite"
+        assert gv.value == pytest.approx(float(mp_ratio(expr, -0.5 + 9e-10)), rel=1e-12)
+        assert gv.value == pytest.approx(-8.00000000441868, rel=1e-12)
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_offsets_from_half_integers(self, d):
@@ -301,11 +308,12 @@ def reference_point(expr, s):
     alpha, beta = expr.two_power
     log_mag = math.log(float(expr.prefactor)) + (float(alpha) * s + float(beta)) * math.log(2.0)
     sign, net = 1.0, 0
+    s0 = round(2 * s) / 2
     for factors, side in ((expr.numerator, 1), (expr.denominator, -1)):
         for u, a in factors:
             x = float(u) * s + float(a)
-            k = round(x)
-            if k <= 0 and abs(x - k) <= TOL_POLE:
+            k = float(u) * s0 + float(a)
+            if abs(s - s0) <= TOL_POLE and k <= 0 and k == math.floor(k):
                 # eps * Gamma(x) = (-1)^k / Gamma(1 - x) up to a factor 1 + O(eps^2)
                 log_mag += side * (-math.lgamma(1.0 - x) - math.log(float(u)))
                 net += side

@@ -139,6 +139,15 @@ class TestInputErrors:
             capsys, ["sim", "correlate", "--model", model_file, "--t-max", "-1", "--dt", "0.1"]
         )
 
+    @pytest.mark.parametrize("cmd", ["laplace", "compare"])
+    @pytest.mark.parametrize("spec", ["0.2:2:0", "0.2:2:-3"])
+    def test_zgrid_without_points(self, capsys, tmp_path, cmd, spec):
+        # numpy's zero-size-reduction and negative-sample-count messages
+        # named neither the option nor the grid
+        argv = with_docs(["sim", cmd, "--model", MODEL, f"--z-grid={spec}"], str(tmp_path))
+        err = self.assert_input_error(capsys, argv)
+        assert err == f"error: z-grid {spec!r} needs at least one point\n"
+
     @pytest.mark.parametrize("t_max", ["-4.8", "0"])
     def test_laplace_nonpositive_t_max(self, capsys, tmp_path, t_max):
         # at Re z = 1e308 the tempered tail bound is inf - inf, so t_max is

@@ -425,7 +425,7 @@ class TestChannelMeasureOracle:
                 # int_T^inf R (1 + t) exp(-(w - d/2) t) cos t dt
                 for b in (w - 1 - 1j, w - 1 + 1j):
                     tail += 0.15 * mpmath.exp(-b * t_max) * ((1 + t_max) / b + 1 / b**2)
-            bound = float(truncation_bound(model, z, t_max)[0])
+            bound = float(truncation_bound(model, z, t_max))
             assert abs(complex(tail)) <= bound
             assert abs(complex(tail)) > 1e-3  # the tail is not negligible
 
@@ -455,3 +455,94 @@ class TestMainTermSeparation:
         ts = np.linspace(0.0, 10.0, 100)
         r = np.abs(remainder_term(model, ts))
         assert np.all(r <= 1.3 * (1 + ts) * np.exp(-ts) + 1e-14)
+
+
+def pointwise(f, z):
+    """``f`` called on every element of ``z`` as a scalar, stacked back into
+    the shape of ``z``."""
+    z = np.asarray(z)
+    return np.array([f(x) for x in z.ravel()]).reshape(z.shape)
+
+
+def assert_shape(out, like):
+    """An array in the shape of ``like``; a numpy scalar when ``like`` is 0-d."""
+    assert np.shape(out) == np.shape(like)
+    assert isinstance(out, np.ndarray if np.ndim(like) else np.generic)
+
+
+SHAPES_Z = [
+    np.asarray(0.3 + 0.2j),
+    np.array([0.3 + 0j, 1.0 + 0.5j, 0.2 - 0.7j]),
+    np.array([[0.3 + 0j, 1.0 + 0.5j], [0.2 - 0.7j, 2.0 + 1.0j]]),
+    np.zeros((2, 0), dtype=complex),
+]
+SHAPES_T = [
+    np.asarray(0.5),
+    np.array([0.0, 0.5, 3.0]),
+    np.array([[0.0, 0.5], [3.0, 12.0]]),
+    np.zeros((2, 0)),
+]
+
+
+class TestShapeContract:
+    """Every numeric entry point of the Stieltjes and Laplace layers returns
+    the shape of its input, a 0-d input giving a numpy scalar."""
+
+    @pytest.mark.parametrize("z", SHAPES_Z, ids=["0d", "1d", "2d", "empty"])
+    def test_closed_forms_equal_pointwise_calls(self, z):
+        model = two_channel_model()
+        nu = pushforward_measure(model)
+        for f in (lambda w: transform(nu, w + model.delta), lambda w: laplace_closed(model, w)):
+            out = f(z)
+            assert_shape(out, z)
+            assert np.all(out == pointwise(f, z))
+
+    @pytest.mark.parametrize("t", SHAPES_T, ids=["0d", "1d", "2d", "empty"])
+    def test_correlation(self, t):
+        # atoms and the tempered term are closed forms: equal point by point
+        atoms = atom_model(2, 1.5, [(1.5, 1.0), (1.2, -0.5)], coeff=(1.0, 0.5), amplitude=0.3)
+        out = correlation(atoms, t)
+        assert_shape(out, t)
+        assert np.all(out == pointwise(lambda s: correlation(atoms, s), t))
+        # a density piece is one quadrature shared by the batch: the shaped
+        # call is the flat call, and agrees point by point to its tolerance
+        model = two_channel_model()
+        out = correlation(model, t)
+        assert_shape(out, t)
+        assert np.all(out == correlation(model, t.ravel()).reshape(t.shape))
+        assert np.allclose(out, pointwise(lambda s: correlation(model, s), t), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("z", SHAPES_Z, ids=["0d", "1d", "2d", "empty"])
+    def test_laplace_numeric(self, z):
+        model = two_channel_model()
+        res = laplace_numeric(model, z, t_max=20.0)
+        flat = laplace_numeric(model, z.ravel(), t_max=20.0)
+        assert_shape(res.value, z)
+        assert_shape(res.truncation_bound, z)
+        assert np.all(res.value == flat.value.reshape(z.shape))
+        assert np.all(res.truncation_bound == flat.truncation_bound.reshape(z.shape))
+        # the tail bound is a closed form; the value is one quadrature in t
+        # shared by the batch, so it agrees point by point to its tolerance
+        single = [laplace_numeric(model, w, t_max=20.0) for w in z.ravel()]
+        assert np.all(res.truncation_bound == np.reshape([r.truncation_bound for r in single], z.shape))
+        values = np.reshape([r.value for r in single], z.shape)
+        assert np.allclose(res.value, values, rtol=0, atol=2e-9)
+
+    def test_python_scalars_give_numpy_scalars(self):
+        model = two_channel_model()
+        res = laplace_numeric(model, 0.3 + 0.2j, t_max=20.0)
+        assert type(res.value) is np.complex128 and type(res.truncation_bound) is np.float64
+        assert type(truncation_bound(model, 0.3, 20.0)) is np.float64
+        assert type(correlation(model, 0.5)) is np.complex128
+        assert type(laplace_closed(model, 0.3)) is np.complex128
+
+    def test_compare_max_error_matches_per_point_errors(self):
+        model = two_channel_model()
+        grid = [0.2 + 0j, 0.7 + 0.3j, 1.1 - 0.4j, 2.0 + 1.0j]
+        report = compare_numeric_closed(model, grid, t_max=20.0)
+        numeric = laplace_numeric(model, np.array(grid), t_max=20.0, include_remainder=False)
+        closed = laplace_closed(model, np.array(grid))
+        errors = [abs(complex(n) - complex(c)) for n, c in zip(numeric.value, closed)]
+        assert report.max_error == max(errors)
+        allowed = [1e-6 + float(b) + 2e-9 for b in numeric.truncation_bound]
+        assert report.passed == all(e <= a for e, a in zip(errors, allowed))

@@ -179,10 +179,6 @@ class TestInvertInterval:
         with pytest.raises(ValueError, match="y0 > 0 and k_max >= 2"):
             invert_interval(lambda z: transform(atom, z), 0.0, 1.0, y0=y0, k_max=k_max)
 
-    def test_scalar_callable_accepted(self):
-        res = invert_interval(lambda z: complex(transform(ATOM0, complex(z))), -1, 1)
-        assert res.value == pytest.approx(1.0, abs=1e-5)
-
     def test_error_estimate_honest_on_corpus(self):
         cases = [
             (ATOM0, -1.0, 1.0),
