@@ -9,7 +9,6 @@ from .weights import (
     dimension,
     dual,
     enumerate_ktypes_containing,
-    enumerate_weights,
     is_self_dual,
     trivial,
     validate,

@@ -1,21 +1,29 @@
 """Witness K-types over SO(d+1) for a given SO(d)-type, ranked by the exact
-minimality functional used to single out lowest K-types.
+minimality functional sum_j (tau_j + rho_j)^2, rho_j = (d+1-2j)/2 >= 0, in
+exact rational arithmetic so ties and minimality never depend on floats.
 
-The functional assigns to a K-type tau the sum of (tau_j + (d+1-2j)/2)^2 over
-all entries; it is computed in exact rational arithmetic so ties and
-minimality claims never depend on floating point.
+The K-types containing sigma form a box (each tau_j ranges over an integer
+interval, the same for dual(sigma), as the interlacing rule puts an absolute
+value on the even-rank member's final entry).  The functional is separable
+and convex, so its minimizer over all K-types is, in closed form, the
+integer in each interval nearest to -rho_j.  That integer is unique: -rho_j
+is an integer for odd d, and for even d it is negative while every interval
+lies in [0, oo).  The report's ``is_minimal_over_bound`` (a wire name) says
+the minimizer is the witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil
 
 from .weights import (
     HighestWeight,
+    _interlacing,
     branches_to,
+    check_search_bound,
     dual,
-    enumerate_ktypes_containing,
 )
 
 
@@ -77,38 +85,34 @@ def default_search_bound(sigma: HighestWeight) -> int:
 def minimal_ktypes(
     sigma: HighestWeight, d: int, bound: int | None = None
 ) -> tuple[list[HighestWeight], WitnessReport]:
-    """Brute-force minimizers of the minimality norm among K-types over
-    SO(d+1) that contain both sigma and its dual, with first entry capped by
-    ``bound``.
+    """The minimizer of the minimality norm among all K-types over SO(d+1)
+    that contain sigma (and so its dual), in closed form, as a one-element
+    list, plus a report certifying that it is the witness K-type.
 
-    Returns every minimizer (lexicographic order) plus a report confirming
-    that the constructed witness K-type attains the minimum.
+    ``bound`` (default: largest entry magnitude plus 3) is a domain check
+    only: it must be at least sigma's largest entry magnitude, and the
+    report echoes it.
     """
     if sigma.n != d:
         raise ValueError(f"expected an SO({d}) weight, got SO({sigma.n})")
     if bound is None:
         bound = default_search_bound(sigma)
-    sigma_dual = dual(sigma)
-    candidates = [
-        tau
-        for tau in enumerate_ktypes_containing(sigma, bound)
-        if branches_to(tau, sigma_dual)
-    ]
-    if not candidates:
-        raise ValueError(f"empty candidate set: bound {bound} is too small")
-    norms = [minimality_norm(tau, d) for tau in candidates]
-    best = min(norms)
-    minimizers = [tau for tau, v in zip(candidates, norms) if v == best]
+    check_search_bound(sigma, bound)
+    entries = []
+    for j, (lo, hi) in enumerate(_interlacing(sigma, True), start=1):
+        nearest = ceil(Fraction(2 * j - d - 1, 2))  # -rho_j, or the next integer up
+        nearest = nearest if lo is None else max(nearest, lo)
+        entries.append(nearest if hi is None else min(nearest, hi))
+    minimizers = [HighestWeight(d + 1, tuple(entries))]
 
     tau_star = witness_ktype(sigma, d)
-    lam = minimality_norm(tau_star, d)
     report = WitnessReport(
         sigma=sigma,
         tau=tau_star,
-        lambda_value=lam,
+        lambda_value=minimality_norm(tau_star, d),
         contains_sigma=branches_to(tau_star, sigma),
-        contains_sigma_dual=branches_to(tau_star, sigma_dual),
-        is_minimal_over_bound=(lam == best),
+        contains_sigma_dual=branches_to(tau_star, dual(sigma)),
+        is_minimal_over_bound=(minimizers == [tau_star]),
         search_bound=bound,
     )
     return minimizers, report

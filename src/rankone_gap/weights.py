@@ -3,8 +3,12 @@
 An irreducible representation of SO(n) is labeled by an integer tuple of
 length floor(n/2) subject to the standard ordering constraints.  Restriction
 to SO(n-1) is governed by the classical multiplicity-one interlacing rule,
-and dimensions come from the Weyl dimension formula, evaluated here in exact
-rational arithmetic so that rank-4 products stay exact.
+which lives in one helper, ``_interlacing``: given either member of the pair
+it returns the integer interval of each entry of the other.  The membership
+test ``branches_to`` and the products ``branching_set`` (down one rank) and
+``enumerate_ktypes_containing`` (up one rank) read it.  Dimensions come from
+the Weyl dimension formula, evaluated here in exact rational arithmetic so
+that rank-4 products stay exact.
 
 Conventions for the degenerate ranks: SO(1) has a single irreducible (the
 empty tuple), and the dual of SO(2) is all of Z, so a length-1 tuple carries
@@ -98,35 +102,40 @@ def is_self_dual(w: HighestWeight) -> bool:
     return dual(w) == w
 
 
-def branches_to(tau: HighestWeight, sigma: HighestWeight) -> bool:
-    """True iff sigma occurs in the restriction of tau to SO(n-1).
+def _interlacing(
+    known: HighestWeight, up: bool, top: int | None = None
+) -> list[tuple[int | None, int | None]]:
+    """Integer interval [lo, hi] of each entry of the SO(n+1) weights that
+    contain ``known`` (``up``), or of the SO(n-1) weights it contains; None
+    is an unbounded end, and ``top`` caps the first entry going up.  The
+    rule is the chain t1 >= s1 >= t2 >= s2 >= ... of N - 1 entries for SO(N)
+    over SO(N-1); its last member, the final entry of the even-rank weight,
+    enters with an absolute value."""
+    length = known.n if up else known.n - 1
+    chain: list[int | None] = [None] * length
+    chain[1 if up else 0 :: 2] = known.entries
+    intervals = []
+    for i in range(0 if up else 1, length, 2):
+        hi = chain[i - 1] if i else top
+        if i == length - 1:
+            lo = None if hi is None else -hi
+        else:
+            lo = abs(chain[i + 1]) if i + 2 == length else chain[i + 1]
+        intervals.append((lo, hi))
+    return intervals
 
-    The restriction is multiplicity free; occurrence is the interlacing of
-    the two entry tuples, with an absolute value on the final entry of the
-    even-rank member of the pair.
-    """
+
+def _box(n: int, intervals) -> list[HighestWeight]:
+    """The SO(n) weights with entries in the given intervals, lexicographic."""
+    return [HighestWeight(n, c) for c in product(*(range(lo, hi + 1) for lo, hi in intervals))]
+
+
+def branches_to(tau: HighestWeight, sigma: HighestWeight) -> bool:
+    """True iff sigma occurs (with multiplicity one) in the restriction of
+    tau to SO(n-1): its entries lie in the intervals ``_interlacing`` gives."""
     if sigma.n != tau.n - 1:
-        raise WeightError(
-            "rank", f"expected SO({tau.n - 1}) weight, got SO({sigma.n})"
-        )
-    t, s = tau.entries, sigma.entries
-    if tau.n % 2 == 0:
-        m = tau.n // 2  # sigma has m - 1 entries
-        for j in range(m - 1):
-            if t[j] < s[j]:
-                return False
-            floor_j = abs(t[m - 1]) if j == m - 2 else t[j + 1]
-            if s[j] < floor_j:
-                return False
-        return True
-    m = tau.n // 2  # sigma has m entries
-    for j in range(m):
-        floor_j = abs(s[m - 1]) if j == m - 1 else s[j]
-        if t[j] < floor_j:
-            return False
-        if j < m - 1 and s[j] < t[j + 1]:
-            return False
-    return True
+        raise WeightError("rank", f"expected SO({tau.n - 1}) weight, got SO({sigma.n})")
+    return all(lo <= e <= hi for e, (lo, hi) in zip(sigma.entries, _interlacing(tau, False)))
 
 
 def branching_set(tau: HighestWeight) -> list[HighestWeight]:
@@ -134,22 +143,7 @@ def branching_set(tau: HighestWeight) -> list[HighestWeight]:
     lexicographic order (each with multiplicity one)."""
     if tau.n < 2:
         raise WeightError("rank", "SO(1) does not restrict further")
-    t = tau.entries
-    if tau.n % 2 == 0:
-        m = tau.n // 2
-        ranges = []
-        for j in range(m - 1):
-            upper = t[j]
-            lower = abs(t[m - 1]) if j == m - 2 else t[j + 1]
-            ranges.append(range(lower, upper + 1))
-        out_n = tau.n - 1
-    else:
-        m = tau.n // 2
-        ranges = [range(t[j + 1], t[j] + 1) for j in range(m - 1)]
-        if m >= 1:
-            ranges.append(range(-t[m - 1], t[m - 1] + 1))
-        out_n = tau.n - 1
-    return [HighestWeight(out_n, combo) for combo in product(*ranges)]
+    return _box(tau.n - 1, _interlacing(tau, False))
 
 
 @lru_cache(maxsize=None)
@@ -176,6 +170,17 @@ def dimension(w: HighestWeight) -> int:
     return int(dim)
 
 
+def check_search_bound(sigma: HighestWeight, bound: int) -> None:
+    """Raise ValueError when no SO(n+1) weight containing sigma has its first
+    entry at most ``bound``: when ``bound`` is below sigma's largest entry."""
+    largest = max((abs(e) for e in sigma.entries), default=0)
+    if bound < largest:
+        raise ValueError(
+            f"bound {bound} is below the largest entry magnitude {largest}; "
+            "the candidate set is empty"
+        )
+
+
 def enumerate_ktypes_containing(sigma: HighestWeight, bound: int) -> list[HighestWeight]:
     """All SO(n+1) weights containing sigma with first entry at most ``bound``,
     in lexicographic order.
@@ -183,56 +188,5 @@ def enumerate_ktypes_containing(sigma: HighestWeight, bound: int) -> list[Highes
     For SO(2) targets the bound caps the absolute value of the single entry,
     since that entry is otherwise unconstrained.
     """
-    largest = max((abs(e) for e in sigma.entries), default=0)
-    if bound < largest:
-        raise ValueError(
-            f"bound {bound} is below the largest entry magnitude {largest}; "
-            "the candidate set is empty"
-        )
-    n = sigma.n + 1
-    s = sigma.entries
-    if n == 2:
-        return [HighestWeight(2, (k,)) for k in range(-bound, bound + 1)]
-    m = n // 2
-    ranges = []
-    if n % 2 == 1:
-        # sigma over SO(2m), tau over SO(2m+1): tau_j in [sigma_j, sigma_(j-1)]
-        for j in range(m):
-            lower = abs(s[j]) if j == m - 1 else s[j]
-            upper = bound if j == 0 else s[j - 1]
-            ranges.append(range(lower, upper + 1))
-    else:
-        # sigma over SO(2m-1), tau over SO(2m): last entry ranges symmetrically
-        for j in range(m - 1):
-            upper = bound if j == 0 else s[j - 1]
-            ranges.append(range(s[j], upper + 1))
-        ranges.append(range(-s[m - 2], s[m - 2] + 1))
-    return [HighestWeight(n, combo) for combo in product(*ranges)]
-
-
-def enumerate_weights(n: int, bound: int) -> list[HighestWeight]:
-    """All valid SO(n) weights with first entry at most ``bound`` (absolute
-    value at most ``bound`` when n == 2), in lexicographic order."""
-    if n == 1:
-        return [HighestWeight(1, ())]
-    if n == 2:
-        return [HighestWeight(2, (k,)) for k in range(-bound, bound + 1)]
-    m = n // 2
-    out: list[HighestWeight] = []
-
-    def extend(prefix: tuple[int, ...]):
-        j = len(prefix)
-        if j == m - 1 and n % 2 == 0:
-            top = prefix[-1] if prefix else bound
-            for k in range(-top, top + 1):
-                out.append(HighestWeight(n, prefix + (k,)))
-            return
-        if j == m:
-            out.append(HighestWeight(n, prefix))
-            return
-        top = prefix[-1] if prefix else bound
-        for k in range(0, top + 1):
-            extend(prefix + (k,))
-
-    extend(())
-    return out
+    check_search_bound(sigma, bound)
+    return _box(sigma.n + 1, _interlacing(sigma, True, bound))

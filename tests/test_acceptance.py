@@ -16,7 +16,6 @@ from rankone_gap import (
     cfunction_expr,
     compare_numeric_closed,
     dimension,
-    enumerate_weights,
     evaluate,
     half_weighted_mass,
     halfopen_grid,
@@ -34,6 +33,7 @@ from rankone_gap import (
 from rankone_gap.cli import run as cli_run
 
 from oracle_numerics import richardson_limit
+from oracle_weights import brute_minimal_ktypes, enumerate_weights
 
 
 def report(number: int, ok: bool, description: str, started: float) -> None:
@@ -97,8 +97,11 @@ def test_criterion_3_witness_minimality():
     failures = []
     for d, sigma in cases:
         bound = max((abs(e) for e in sigma.entries), default=0) + 3
-        _, rep = minimal_ktypes(sigma, d, bound)
-        if not (rep.is_minimal_over_bound and rep.contains_sigma and rep.contains_sigma_dual):
+        minimizers, rep = minimal_ktypes(sigma, d, bound)
+        # the brute-force search is the oracle: it must find the witness alone
+        exact = brute_minimal_ktypes(sigma, d, bound) == minimizers == [rep.tau]
+        if not (exact and rep.is_minimal_over_bound and rep.contains_sigma
+                and rep.contains_sigma_dual):
             failures.append((d, sigma))
     ok = not failures
     report(3, ok, f"witness attains exact minimum in {len(cases)}/{len(cases)} cases", t0)

@@ -14,7 +14,6 @@ from rankone_gap import (
     dimension,
     dual,
     enumerate_ktypes_containing,
-    enumerate_weights,
     evaluate,
     halfopen_grid,
     main_term_scalar,
@@ -23,6 +22,8 @@ from rankone_gap import (
     witness_ktype,
 )
 from rankone_gap.cfunction import TOL_POLE, _evaluate_grid
+
+from oracle_weights import enumerate_weights
 
 
 def F(x):

@@ -462,6 +462,18 @@ def test_usage_bytes_unchanged(case, monkeypatch):
     assert run_captured(case["argv"]) == (case["code"], case["out"], case["err"])
 
 
+WEIGHT_CASES = json.loads((Path(__file__).parent / "cli_weights_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", WEIGHT_CASES, ids=lambda case: " ".join(case["argv"]))
+def test_weight_bytes_unchanged(case):
+    """``ktype minimal`` (no bound, a larger bound, a bound below the largest
+    entry), ``duals branch`` and ``duals enum`` on every SO(d) weight with
+    d <= 8 and entries of magnitude <= 2, byte for byte, as the CLI printed
+    them while ``ktype minimal`` still enumerated K-types (commit 6ea6b26)."""
+    assert run_captured(case["argv"]) == (case["code"], case["out"], case["err"])
+
+
 class TestJsonRoundTrips:
     def test_weight_output_loads(self, capsys):
         _, out, _ = invoke(capsys, ["ktype", "witness", "--d", "3", "--sigma", "2"])

@@ -17,6 +17,8 @@ from rankone_gap import (
     validate,
 )
 
+from oracle_weights import enumerate_weights
+
 
 class TestLastPositiveIndex:
     def test_examples(self):
@@ -38,8 +40,6 @@ class TestParameterInterval:
 
     def test_contained_in_halfline(self):
         for d in range(1, 7):
-            from rankone_gap import enumerate_weights
-
             for sigma in enumerate_weights(d, 3):
                 box = parameter_interval(sigma, d)
                 assert box.lo == d / 2

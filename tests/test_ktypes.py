@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,6 @@ from rankone_gap import (
     branches_to,
     default_search_bound,
     dual,
-    enumerate_weights,
     minimal_ktypes,
     minimality_norm,
     validate,
@@ -15,15 +15,7 @@ from rankone_gap import (
 )
 
 from conftest import so_weights
-
-
-def norm_oracle(tau, d):
-    # independent recomputation: expand the square over a common denominator 4
-    total = Fraction(0)
-    for j, e in enumerate(tau.entries, start=1):
-        c = d + 1 - 2 * j
-        total += Fraction(4 * e * e + 4 * e * c + c * c, 4)
-    return total
+from oracle_weights import brute_minimal_ktypes, enumerate_weights, norm, sweep
 
 
 class TestMinimalityNorm:
@@ -46,7 +38,7 @@ class TestMinimalityNorm:
     @given(so_weights(min_n=2, max_n=8))
     def test_against_expanded_form(self, tau):
         d = tau.n - 1
-        assert minimality_norm(tau, d) == norm_oracle(tau, d)
+        assert minimality_norm(tau, d) == norm(tau, d)
 
     @given(so_weights(min_n=2, max_n=8))
     def test_nonnegative(self, tau):
@@ -120,3 +112,21 @@ class TestMinimalKtypes:
     def test_empty_candidate_error(self):
         with pytest.raises(ValueError):
             minimal_ktypes(validate(2, (2,)), 2, 1)
+
+    def test_matches_brute_force_oracle(self):
+        for d, sigma, bound in sweep():
+            minimizers, report = minimal_ktypes(sigma, d, bound)
+            assert minimizers == brute_minimal_ktypes(sigma, d, bound), (sigma, bound)
+            assert minimizers == [witness_ktype(sigma, d)], sigma
+            assert report.is_minimal_over_bound and report.search_bound == bound
+
+    def test_bound_does_not_drive_cost(self):
+        # a bound of 10**12 once meant ~1.5e13 candidates; it is now only echoed
+        minimizers, report = minimal_ktypes(validate(5, (4, 2)), 5, 10**12)
+        assert minimizers == [validate(6, (4, 2, 0))]
+        assert report.is_minimal_over_bound and report.search_bound == 10**12
+        for d in range(1, 9):
+            for sigma in enumerate_weights(d, 3):
+                mins, rep = minimal_ktypes(sigma, d)
+                huge = minimal_ktypes(sigma, d, 10**12)
+                assert huge == (mins, replace(rep, search_bound=10**12)), sigma

@@ -9,13 +9,13 @@ from rankone_gap import (
     dimension,
     dual,
     enumerate_ktypes_containing,
-    enumerate_weights,
     is_self_dual,
     trivial,
     validate,
 )
 
 from conftest import so_weights
+from oracle_weights import KTYPE_SWEEP, enumerate_weights, interlaces, sweep
 
 
 class TestValidate:
@@ -108,14 +108,19 @@ class TestBranching:
         ]
         assert [w.entries for w in branching_set(validate(5, (0, 0)))] == [(0, 0)]
 
+    def test_branches_to_matches_chain_oracle(self):
+        for n, entries in KTYPE_SWEEP:
+            sigmas = enumerate_weights(n - 1, entries)
+            for tau in enumerate_weights(n, entries):
+                for sigma in sigmas:
+                    assert branches_to(tau, sigma) == interlaces(tau, sigma), (tau, sigma)
+
     def test_branching_set_matches_brute_force(self):
-        for n in range(2, 7):
-            for tau in enumerate_weights(n, 3):
+        for n, entries in KTYPE_SWEEP:
+            for tau in enumerate_weights(n, entries):
                 top = max((abs(e) for e in tau.entries), default=0)
-                expected = [
-                    s for s in enumerate_weights(n - 1, top) if branches_to(tau, s)
-                ]
-                assert branching_set(tau) == expected
+                expected = [s for s in enumerate_weights(n - 1, top) if interlaces(tau, s)]
+                assert branching_set(tau) == expected, tau
 
     def test_branching_set_is_lexicographic(self):
         out = branching_set(validate(5, (3, 1)))
@@ -184,15 +189,9 @@ class TestEnumerateKtypes:
             enumerate_ktypes_containing(validate(2, (-5,)), 4)
 
     def test_matches_brute_force_filter(self):
-        for n in range(1, 6):
-            for sigma in enumerate_weights(n, 2):
-                bound = max((abs(e) for e in sigma.entries), default=0) + 2
-                expected = [
-                    t
-                    for t in enumerate_weights(n + 1, bound)
-                    if branches_to(t, sigma)
-                ]
-                assert enumerate_ktypes_containing(sigma, bound) == expected
+        for d, sigma, bound in sweep():
+            expected = [t for t in enumerate_weights(d + 1, bound) if interlaces(t, sigma)]
+            assert enumerate_ktypes_containing(sigma, bound) == expected, (sigma, bound)
 
     def test_lexicographic(self):
         out = enumerate_ktypes_containing(validate(4, (2, -1)), 4)
