@@ -112,29 +112,20 @@ def cfunction_expr(
     if not branches_to(tau, sigma):
         raise ValueError(f"{sigma} is not contained in {tau}")
     half_d = Fraction(d, 2)
-    s_ent = sigma.entries
-    t_ent = tau.entries
+    one = Fraction(1)
     num: list[GammaFactor] = []
     den: list[GammaFactor] = []
-    one = Fraction(1)
+    for j, e in enumerate(sigma.entries, 1):
+        num += [(one, -half_d + j - e), (one, half_d - j + e)]
+    for j, e in enumerate(tau.entries, 1):
+        den += [(one, -half_d + j - e), (one, half_d - j + 1 + e)]
     if d % 2 == 0:
         pref = Fraction(math.factorial(d - 1), math.factorial(d // 2 - 1))
         two_power = (Fraction(0), Fraction(0))
-        for j in range(1, d // 2 + 1):
-            num.append((one, -half_d + j - s_ent[j - 1]))
-            num.append((one, half_d - j + s_ent[j - 1]))
-            den.append((one, -half_d + j - t_ent[j - 1]))
-            den.append((one, half_d - j + 1 + t_ent[j - 1]))
     else:
         pref = Fraction(math.factorial((d - 1) // 2))
         two_power = (Fraction(-2), Fraction(d))
         num.append((Fraction(2), Fraction(0)))  # Gamma(2s), kept as written
-        for j in range(1, (d - 1) // 2 + 1):
-            num.append((one, -half_d + j - s_ent[j - 1]))
-            num.append((one, half_d - j + s_ent[j - 1]))
-        for j in range(1, (d + 1) // 2 + 1):
-            den.append((one, -half_d + j - t_ent[j - 1]))
-            den.append((one, half_d - j + 1 + t_ent[j - 1]))
     expr = GammaRatioExpr(
         prefactor=pref,
         two_power=two_power,

@@ -269,9 +269,7 @@ def _cmd_gap(args) -> int:
         params = GapParameters.from_gap(args.kappa_gamma, args.d, args.delta)
         emit_json(params.to_json())
         return 0
-    model = _load_model(args.model)
-    spectrum = [(ch.sigma, ch.measure) for ch in model.channels]
-    report = spectral_gap_verdict(spectrum, model.delta, model.d)
+    report = spectral_gap_verdict(_load_model(args.model))
     emit_json(report.to_json())
     return 0 if report.verdict else 1
 

@@ -1,20 +1,22 @@
 """Scalar rate arithmetic for spectral-gap bookkeeping: parameter intervals,
 error-rate exponents, mixing rates, decay envelopes, and the gap verdict on a
-synthetic spectrum.
+synthetic spectral model.
 
-All verdict comparisons against the right endpoint use exact endpoint
-bookkeeping on atoms and interval flags on density pieces; no epsilon fuzz
-enters the verdict itself.
+The verdict reads a ``SpectralModel``, which has already placed all support;
+its comparisons against delta are exact, with no epsilon fuzz.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .measures import RealLineMeasure
 from .weights import HighestWeight
 from .wire import integer, real
+
+if TYPE_CHECKING:  # laplace imports this module
+    from .laplace import SpectralModel
 
 
 @dataclass(frozen=True)
@@ -27,9 +29,6 @@ class Interval:
     @property
     def is_empty(self) -> bool:
         return self.hi <= self.lo
-
-    def contains(self, x: float) -> bool:
-        return self.lo < x <= self.hi
 
 
 def last_positive_index(sigma: HighestWeight) -> int:
@@ -161,59 +160,44 @@ class SpectralGapReport:
         }
 
 
-def spectral_gap_verdict(
-    spectrum, delta: float, d: int
-) -> SpectralGapReport:
-    """Decide the strong-gap conditions for a finite synthetic spectrum.
+def spectral_gap_verdict(model: SpectralModel) -> SpectralGapReport:
+    """Decide the strong-gap conditions for a synthetic spectral model.
 
-    ``spectrum`` is an iterable of (sigma, measure) pairs whose measures must
-    be supported inside the parameter interval of sigma.  The verdict holds
-    iff (1) no non-trivial sigma carries an atom exactly at delta and (2) the
-    union of supports misses (delta - eta, delta) for some eta > 0; the gap
-    parameter is then min{delta - sup(support below delta), delta - d/2}.
+    The model already places every channel's support in its parameter
+    interval and at or below delta.  The verdict holds iff (1) no
+    non-trivial sigma carries an atom exactly at delta and (2) the union of
+    supports misses (delta - eta, delta) for some eta > 0; the gap parameter
+    is then min{delta - sup(support below delta), delta - d/2}.
     """
-    if not d / 2 < delta <= d:
-        raise ValueError(f"delta must lie in (d/2, d], got {delta}")
+    d, delta = model.d, model.delta
     atom_ok = True
     gap_ok = True
     offenders: list[str] = []
     flagged: list[HighestWeight] = []
-    sup_below: float | None = None
+    below: list[float] = []  # support points and right endpoints below delta
 
-    for sigma, measure in spectrum:
-        if not isinstance(measure, RealLineMeasure):
-            raise TypeError("spectrum entries must carry RealLineMeasure values")
-        box = parameter_interval(sigma, d)
+    for ch in model.channels:
+        sigma = ch.sigma
         if any(e < 0 for e in sigma.entries):
             flagged.append(sigma)
-        for atom in measure.atoms:
-            if not box.contains(atom.location):
-                raise ValueError(
-                    f"atom at {atom.location} outside parameter interval "
-                    f"({box.lo}, {box.hi}] of {sigma}"
-                )
+        for atom in ch.measure.atoms:
             if atom.location == delta:
                 if not sigma.is_trivial():
                     atom_ok = False
                     offenders.append(f"atom at delta for non-trivial {sigma}")
-            elif atom.location < delta:
-                sup_below = atom.location if sup_below is None else max(sup_below, atom.location)
-        for piece in measure.pieces:
-            if piece.lo < box.lo or piece.hi > box.hi:
-                raise ValueError(
-                    f"density [{piece.lo}, {piece.hi}] outside parameter interval "
-                    f"({box.lo}, {box.hi}] of {sigma}"
+            else:
+                below.append(atom.location)
+        for piece in ch.measure.pieces:
+            if piece.hi == delta:
+                gap_ok = False
+                offenders.append(
+                    f"density of {sigma} touches delta from below on "
+                    f"[{piece.lo}, {piece.hi}]"
                 )
-            if piece.lo < delta:
-                if piece.hi >= delta:
-                    gap_ok = False
-                    offenders.append(
-                        f"density of {sigma} touches delta from below on "
-                        f"[{piece.lo}, {piece.hi}]"
-                    )
-                else:
-                    sup_below = piece.hi if sup_below is None else max(sup_below, piece.hi)
+            else:
+                below.append(piece.hi)
 
+    sup_below = max(below, default=None)
     verdict = atom_ok and gap_ok
     params = None
     if verdict:

@@ -23,7 +23,7 @@ its Stieltjes transform at z + delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,6 +58,9 @@ class Channel:
 
 @dataclass(frozen=True)
 class SpectralModel:
+    """The one check that each channel's support lies in its parameter
+    interval and at or below delta; the gap verdict relies on it."""
+
     d: int
     delta: float
     channels: tuple[Channel, ...] = ()
@@ -137,9 +140,6 @@ def correlation(model: SpectralModel, t):
     for atom in nu.atoms:
         out += atom.weight * np.exp(-(d - atom.location) * t)
     for piece in nu.pieces:
-        if piece.is_zero():
-            continue
-
         def integrand(s, _p=piece):
             return _p(s) * np.exp(-(d - s) * t[..., None])
 
@@ -148,17 +148,15 @@ def correlation(model: SpectralModel, t):
     return out[()]
 
 
-def truncation_bound(
-    model: SpectralModel, z, t_max: float, include_remainder: bool = True
-):
+def truncation_bound(model: SpectralModel, z, t_max: float):
     """Analytic bound on the discarded tail of the Laplace integral, in the
     shape of ``z``."""
     re_z = np.asarray(z, dtype=complex).real
     bound = np.zeros(re_z.shape)
     nu = pushforward_measure(model)
     d, delta = model.d, model.delta
-    tails = [(abs(a.weight), a.location) for a in nu.atoms if a.weight != 0] + [
-        (p.variation_bound(), p.hi) for p in nu.pieces if not p.is_zero()
+    tails = [(abs(a.weight), a.location) for a in nu.atoms] + [
+        (p.variation_bound(), p.hi) for p in nu.pieces
     ]
     # where a * t_max overflows, exp(-a * t_max) is 0 as it should be
     with np.errstate(over="ignore"):
@@ -167,7 +165,7 @@ def truncation_bound(
             if np.any(a <= 0):
                 raise ValueError("Re z too far left: channel tail diverges")
             bound += mass * np.exp(-a * t_max) / a
-        if include_remainder and model.tempered_amplitude > 0:
+        if model.tempered_amplitude > 0:
             a = re_z + delta - d / 2
             if np.any(a <= 0):
                 raise ValueError("Re z too far left: tempered tail diverges")
@@ -186,12 +184,7 @@ class LaplaceResult:
     truncation_bound: object  # float ndarray or np.float64
 
 
-def laplace_numeric(
-    model: SpectralModel,
-    z,
-    t_max: float = 80.0,
-    include_remainder: bool = True,
-) -> LaplaceResult:
+def laplace_numeric(model: SpectralModel, z, t_max: float = 80.0) -> LaplaceResult:
     """Truncated quadrature of the Laplace transform plus its tail bound.
 
     ``z`` is a complex array of any shape (or a scalar); one quadrature in t
@@ -203,14 +196,11 @@ def laplace_numeric(
     if not t_max > 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
     z = np.asarray(z, dtype=complex)
-    bound = truncation_bound(model, z, t_max, include_remainder) + TOL_QUAD
+    bound = truncation_bound(model, z, t_max) + TOL_QUAD
     exponent = z + model.delta - model.d
 
     def integrand(t):
-        f = correlation(model, t)
-        if not include_remainder:
-            f = f - remainder_term(model, t)
-        return f * np.exp(-exponent[..., None] * t)
+        return correlation(model, t) * np.exp(-exponent[..., None] * t)
 
     res = integrate_adaptive(integrand, 0.0, t_max, tol=TOL_QUAD, init_panels=32)
     return LaplaceResult(res.value, bound)
@@ -264,15 +254,15 @@ def compare_numeric_closed(
     """Elementwise comparison of the truncated transform against the closed
     channel sum over a grid of z.
 
-    The numeric side leaves the tempered background out of its integrand, so
-    the two sides describe the same channel content.  PASS means every
+    The numeric side transforms the model with its tempered amplitude set to
+    zero, so the two sides describe the same channel content.  PASS means every
     discrepancy is within tol_compare plus the honest truncation bound.
     ``closed_model`` substitutes a different model on the closed side (for
     negative controls).
     """
     zs = np.asarray(list(grid), dtype=complex)
     target = model if closed_model is None else closed_model
-    numeric = laplace_numeric(model, zs, t_max=t_max, include_remainder=False)
+    numeric = laplace_numeric(replace(model, tempered_amplitude=0.0), zs, t_max=t_max)
     diff = numeric.value - laplace_closed(target, zs)
     err = np.hypot(diff.real, diff.imag)  # abs(complex) to the bit; np.abs is not
     allowed = tol_compare + numeric.truncation_bound + 2 * TOL_QUAD
@@ -363,10 +353,10 @@ def pole_probe(
     )
 
 
-def rank_test(q, tol_rank: float = TOL_RANK) -> int:
+def rank_test(q) -> int:
     """Numerical rank of a 2x2 sesquilinear-form sample matrix.
 
-    rank <= 1 when |det| <= tol_rank * scale^2 with scale the largest entry
+    rank <= 1 when |det| <= TOL_RANK * scale^2 with scale the largest entry
     magnitude; the zero matrix has rank 0.
     """
     m = np.asarray(q, dtype=complex)
@@ -376,6 +366,6 @@ def rank_test(q, tol_rank: float = TOL_RANK) -> int:
     if scale == 0.0:
         return 0
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if abs(det) <= tol_rank * scale * scale:
+    if abs(det) <= TOL_RANK * scale * scale:
         return 1
     return 2

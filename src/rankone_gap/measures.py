@@ -4,7 +4,8 @@ bounded piecewise-polynomial density pieces.
 Everything here has finite total variation by construction.  Interval masses
 are available in exact rational arithmetic (binary floats convert exactly to
 Fractions, and polynomial antiderivatives stay rational), which is what makes
-the zero-measure tests trustworthy.
+the zero-measure tests trustworthy.  Zero-weight atoms and all-zero density
+pieces are not support: the constructor drops them, so no consumer sees one.
 """
 
 from __future__ import annotations
@@ -94,6 +95,8 @@ class RealLineMeasure:
         for a in self.atoms:
             if not (math.isfinite(a.location) and math.isfinite(abs(a.weight))):
                 raise ValueError("atoms must be finite")
+        object.__setattr__(self, "atoms", tuple(a for a in self.atoms if a.weight != 0))
+        object.__setattr__(self, "pieces", tuple(p for p in self.pieces if not p.is_zero()))
 
     def is_real(self) -> bool:
         return all(a.weight.imag == 0 for a in self.atoms) and all(
@@ -125,11 +128,9 @@ class RealLineMeasure:
         """Smallest interval containing the support; None for the zero measure."""
         xs: list[float] = []
         for a in self.atoms:
-            if a.weight != 0:
-                xs.extend([a.location, a.location])
+            xs.extend([a.location, a.location])
         for p in self.pieces:
-            if not p.is_zero():
-                xs.extend([p.lo, p.hi])
+            xs.extend([p.lo, p.hi])
         if not xs:
             return None
         return min(xs), max(xs)
@@ -139,14 +140,10 @@ class RealLineMeasure:
         z = np.asarray(z, dtype=complex)
         dist = np.full(z.shape, np.inf)
         for a in self.atoms:
-            if a.weight != 0:
-                dist = np.minimum(dist, np.abs(z - a.location))
+            dist = np.minimum(dist, np.abs(z - a.location))
         for p in self.pieces:
-            if not p.is_zero():
-                dx = np.maximum(
-                    np.maximum(p.lo - z.real, z.real - p.hi), 0.0
-                )
-                dist = np.minimum(dist, np.hypot(dx, z.imag))
+            dx = np.maximum(np.maximum(p.lo - z.real, z.real - p.hi), 0.0)
+            dist = np.minimum(dist, np.hypot(dx, z.imag))
         return dist
 
     def total_variation_bound(self) -> float:

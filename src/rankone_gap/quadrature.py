@@ -157,13 +157,13 @@ def integrate_adaptive(
     return QuadResult(value=total, error=err_total, converged=not forced, edges=edges)
 
 
-def richardson_sweep(values, ratio: float = 2.0):
-    """One first-order Richardson sweep on a sequence sampled at h, h/r, ...
+def richardson_sweep(values):
+    """One first-order Richardson sweep on a sequence sampled at h, h/2, ...
 
-    For ``values[k] = L + c * h * r**(-k) + o(h * r**(-k))`` the sweep
-    ``(r * values[k+1] - values[k]) / (r - 1)`` removes the linear term.
+    For ``values[k] = L + c * h * 2**(-k) + o(h * 2**(-k))`` the sweep
+    ``2 * values[k+1] - values[k]`` removes the linear term.
     """
     v = np.asarray(values)
     if v.shape[0] < 2:
         raise ValueError("need at least two values to extrapolate")
-    return (ratio * v[1:] - v[:-1]) / (ratio - 1.0)
+    return 2 * v[1:] - v[:-1]

@@ -93,11 +93,8 @@ def transform(nu: RealLineMeasure, z):
         raise SingularPointError(f"evaluation point {bad} is on the support")
     out = np.zeros(z.shape, dtype=complex)
     for atom in nu.atoms:
-        if atom.weight != 0:  # a zero atom is off the support: z may sit on it
-            out += atom.weight / (z - atom.location)
+        out += atom.weight / (z - atom.location)
     for piece in nu.pieces:
-        if piece.is_zero():
-            continue
         out += cauchy_density_integral(piece.coeffs, piece.lo, piece.hi, z)
     return out[()]
 
@@ -155,7 +152,7 @@ def invert_interval(
         if edges.size > 512:
             edges = edges[:: edges.size // 512 + 1]
 
-    swept = richardson_sweep(np.asarray(levels), ratio=2.0)
+    swept = richardson_sweep(np.asarray(levels))
     value = float(np.real(swept[-1]))
     err = abs(float(np.real(swept[-1] - swept[-2]))) + quad_err / np.pi
     return InversionResult(
@@ -260,7 +257,7 @@ def is_zero_by_interval_family(
     pts = sorted(float(x) for x in grid)
     if any(not lo < x < hi for x in pts):
         raise ValueError("grid points must lie strictly inside the interval")
-    atom_locs = {a.location for a in nu.atoms if a.weight != 0}
+    atom_locs = {a.location for a in nu.atoms}
     for x in pts:
         if x in atom_locs:
             raise ValueError(f"grid point {x} collides with an atom")

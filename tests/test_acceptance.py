@@ -272,7 +272,7 @@ def test_criterion_8_rank_obstruction():
     for _ in range(1000):
         u = rng.normal(size=2) + 1j * rng.normal(size=2)
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        if rank_test(np.outer(u, v.conj()), tol_rank=1e-10) > 1:
+        if rank_test(np.outer(u, v.conj())) > 1:
             mis += 1
     produced = 0
     while produced < 1000:
@@ -282,7 +282,7 @@ def test_criterion_8_rank_obstruction():
         if abs(det) < 0.1 * scale * scale:
             continue
         produced += 1
-        if rank_test(q, tol_rank=1e-10) != 2:
+        if rank_test(q) != 2:
             mis += 1
     ok = mis == 0
     report(8, ok, f"2000 rank classifications, {mis} misclassified", t0)

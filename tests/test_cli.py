@@ -474,6 +474,75 @@ def test_weight_bytes_unchanged(case):
     assert run_captured(case["argv"]) == (case["code"], case["out"], case["err"])
 
 
+MODEL_CASES = json.loads((Path(__file__).parent / "cli_model_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", MODEL_CASES, ids=lambda case: " ".join(case["argv"]))
+def test_model_bytes_unchanged(case, tmp_path):
+    """``gap verdict``, ``sim poles/compare/laplace/correlate`` and
+    ``stieltjes transform/invert/detect`` on untempered models and on measures
+    without zero parts, byte for byte, as the CLI printed them while the
+    verdict still took a list of (sigma, measure) pairs (commit 01c151c).
+    Each case carries its input document."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(case["document"]))
+    argv = with_doc(case["argv"], str(path))
+    assert run_captured(argv) == (case["code"], case["out"], case["err"])
+
+
+def two_channel_doc(atoms, pieces=()):
+    """d = 2, delta = 1.7: a trivial channel with an atom at delta, and a
+    (-1) channel with the given atoms and density pieces."""
+    return {
+        "d": 2,
+        "delta": 1.7,
+        "channels": [
+            {"sigma": {"n": 2, "entries": [0]}, "coeff_re": [1.0],
+             "measure": {"atoms": [{"t": 1.7, "w_re": 1.0}]}},
+            {"sigma": {"n": 2, "entries": [-1]}, "coeff_re": [1.0],
+             "measure": {
+                 "atoms": [{"t": t, "w_re": w} for t, w in atoms],
+                 "densities": [{"a": a, "b": b, "coeffs_re": c} for a, b, c in pieces],
+             }},
+        ],
+    }
+
+
+ZERO_PART_ARGV = [
+    ["gap", "verdict", "--model", DOC],
+    POLES_ARGV,
+    ["sim", "compare", "--model", DOC],
+    ["sim", "laplace", "--model", DOC, "--z-grid", "0.2:2:3"],
+    ["sim", "correlate", "--model", DOC, "--t-max", "1", "--dt", "0.5"],
+]
+
+
+class TestZeroParts:
+    """Zero-weight atoms and all-zero density pieces are not support: every
+    model command treats a model with them as the model without them."""
+
+    def run_on(self, capsys, tmp_path, doc, argv):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        return invoke(capsys, with_doc(argv, str(path)))
+
+    def test_verdict_and_poles_agree_on_zero_atoms(self, capsys, tmp_path):
+        # zero atoms at delta and just below it in the non-trivial channel
+        doc = two_channel_doc([(1.7, 0.0), (1.65, 0.0)])
+        code, out, _ = self.run_on(capsys, tmp_path, doc, ["gap", "verdict", "--model", DOC])
+        report = json.loads(out)
+        assert code == 0 and report["verdict"] and report["offenders"] == []
+        assert report["sup_support_below_delta"] is None
+        code, out, _ = self.run_on(capsys, tmp_path, doc, POLES_ARGV)
+        assert code == 0 and json.loads(out)["passed"]
+
+    @pytest.mark.parametrize("argv", ZERO_PART_ARGV, ids=lambda argv: " ".join(argv[:2]))
+    def test_zero_parts_outside_interval_change_nothing(self, capsys, tmp_path, argv):
+        plain = self.run_on(capsys, tmp_path, two_channel_doc([(1.2, 0.5)]), argv)
+        zeros = two_channel_doc([(1.2, 0.5), (1.9, 0.0)], [(0.5, 3.0, [0.0, 0.0])])
+        assert plain[0] in (0, 1) and self.run_on(capsys, tmp_path, zeros, argv) == plain
+
+
 class TestJsonRoundTrips:
     def test_weight_output_loads(self, capsys):
         _, out, _ = invoke(capsys, ["ktype", "witness", "--d", "3", "--sigma", "2"])

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from rankone_gap import (
+    Channel,
     GapParameters,
     RealLineMeasure,
+    SpectralModel,
     bms_decay_rate,
     continuation_width,
     decay_envelope,
@@ -45,10 +47,6 @@ class TestParameterInterval:
                 assert box.lo == d / 2
                 assert box.hi <= d
                 assert box.is_empty == (last_positive_index(sigma) >= d / 2)
-
-    def test_membership(self):
-        box = parameter_interval(validate(2, (0,)), 2)
-        assert not box.contains(1.0) and box.contains(2.0) and box.contains(1.5)
 
 
 class TestRates:
@@ -148,50 +146,65 @@ def atom(t, w=1.0):
     return RealLineMeasure(atoms=((t, w),))
 
 
+def verdict(d, delta, *channels):
+    """The verdict on the model whose channels are the (sigma, measure) pairs."""
+    chans = tuple(Channel(sigma, measure, (1.0,)) for sigma, measure in channels)
+    return spectral_gap_verdict(SpectralModel(d=d, delta=delta, channels=chans))
+
+
 class TestSpectralGapVerdict:
     def test_pass_with_trivial_atom_at_delta(self):
         # (-1) is non-trivial with no positive coordinate, so its parameter
         # interval is the full (1, 2] under the literal index reading
-        spectrum = [
+        report = verdict(
+            2,
+            1.7,
             (validate(2, (0,)), atom(1.7)),
             (validate(2, (-1,)), RealLineMeasure(pieces=((1.0, 1.55, (1.0,)),))),
-        ]
-        report = spectral_gap_verdict(spectrum, 1.7, 2)
+        )
         assert report.verdict
         assert report.params.kappa_gamma == pytest.approx(0.15)
 
     def test_fail_nontrivial_atom_at_delta(self):
-        report = spectral_gap_verdict([(validate(2, (-1,)), atom(1.7))], 1.7, 2)
+        report = verdict(2, 1.7, (validate(2, (-1,)), atom(1.7)))
         assert not report.verdict and not report.atom_condition_ok
         assert report.params is None
 
+    def test_zero_weight_atoms_are_not_support(self):
+        # zero atoms at delta and just below it carry no mass: full gap
+        zeros = RealLineMeasure(atoms=((1.7, 0.0), (1.65, 0.0)))
+        report = verdict(2, 1.7, (validate(2, (-1,)), zeros))
+        assert report.verdict and report.offenders == ()
+        assert report.sup_support_below_delta is None
+        assert report.params.kappa_gamma == pytest.approx(0.7)
+
     def test_finite_atoms_below_delta_pass(self):
-        spectrum = [(validate(2, (0,)), RealLineMeasure(atoms=((1.69, 1.0), (1.695, 1.0))))]
-        report = spectral_gap_verdict(spectrum, 1.7, 2)
+        measure = RealLineMeasure(atoms=((1.69, 1.0), (1.695, 1.0)))
+        report = verdict(2, 1.7, (validate(2, (0,)), measure))
         assert report.verdict
         assert report.params.kappa_gamma == pytest.approx(0.005)
 
     def test_density_touching_delta_fails(self):
         # a density reaching delta puts mass in every (delta - eta, delta)
-        spectrum = [(validate(2, (0,)), RealLineMeasure(pieces=((1.4, 1.7, (1.0,)),)))]
-        report = spectral_gap_verdict(spectrum, 1.7, 2)
+        measure = RealLineMeasure(pieces=((1.4, 1.7, (1.0,)),))
+        report = verdict(2, 1.7, (validate(2, (0,)), measure))
         assert not report.verdict and not report.gap_condition_ok
 
     def test_no_support_below_delta_gives_full_gap(self):
-        report = spectral_gap_verdict([(validate(2, (0,)), atom(1.7))], 1.7, 2)
+        report = verdict(2, 1.7, (validate(2, (0,)), atom(1.7)))
         assert report.verdict
         assert report.params.kappa_gamma == pytest.approx(0.7)
 
     def test_rejects_support_outside_interval(self):
-        # sigma = (1) over SO(2) has empty parameter interval
-        with pytest.raises(ValueError):
-            spectral_gap_verdict([(validate(2, (1,)), atom(1.7))], 1.5, 2)
+        # sigma = (1) over SO(2) has empty parameter interval: the model
+        # that would carry it to the verdict cannot be built
+        with pytest.raises(ValueError, match="outside"):
+            verdict(2, 1.5, (validate(2, (1,)), atom(1.7)))
 
     def test_rejects_bad_delta(self):
-        with pytest.raises(ValueError):
-            spectral_gap_verdict([], 0.9, 2)
+        with pytest.raises(ValueError, match="delta must lie"):
+            verdict(2, 0.9)
 
     def test_flags_negative_entries(self):
-        spectrum = [(validate(4, (1, -1)), atom(2.9))]
-        report = spectral_gap_verdict(spectrum, 3.0, 4)
+        report = verdict(4, 3.0, (validate(4, (1, -1)), atom(2.9)))
         assert report.flagged_sigmas == (validate(4, (1, -1)),)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -49,6 +50,10 @@ class TestModelValidation:
             atom_model(2, 1.5, [(1.6, 1.0)])
 
     def test_support_must_respect_parameter_interval(self):
+        # (0) over SO(2) has the interval (1, 2]: open at d/2, closed on top
+        with pytest.raises(ValueError):
+            atom_model(2, 2.0, [(1.0, 1.0)])
+        atom_model(2, 2.0, [(1.5, 1.0), (2.0, 1.0)])
         # ell = 1 for (1) over SO(4): interval is (2, 3]
         with pytest.raises(ValueError):
             SpectralModel(
@@ -62,6 +67,13 @@ class TestModelValidation:
                     ),
                 ),
             )
+
+    def test_zero_parts_are_not_support(self):
+        # a zero atom above delta and a zero density outside (1, 2] carry no
+        # mass, so they place no support outside the parameter interval
+        measure = RealLineMeasure(atoms=((1.2, 1.0), (1.9, 0.0)), pieces=((0.5, 3.0, (0.0,)),))
+        model = SpectralModel(d=2, delta=1.5, channels=(Channel(TRIV2, measure, (1.0,)),))
+        assert model.channels[0].measure == RealLineMeasure(atoms=((1.2, 1.0),))
 
     def test_duplicate_channels_rejected(self):
         ch = Channel(TRIV2, RealLineMeasure(atoms=((1.4, 1.0),)), (1.0,))
@@ -540,7 +552,8 @@ class TestShapeContract:
         model = two_channel_model()
         grid = [0.2 + 0j, 0.7 + 0.3j, 1.1 - 0.4j, 2.0 + 1.0j]
         report = compare_numeric_closed(model, grid, t_max=20.0)
-        numeric = laplace_numeric(model, np.array(grid), t_max=20.0, include_remainder=False)
+        channels_only = replace(model, tempered_amplitude=0.0)
+        numeric = laplace_numeric(channels_only, np.array(grid), t_max=20.0)
         closed = laplace_closed(model, np.array(grid))
         errors = [abs(complex(n) - complex(c)) for n, c in zip(numeric.value, closed)]
         assert report.max_error == max(errors)

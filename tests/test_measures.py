@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -108,3 +109,30 @@ def test_json_roundtrip():
 def test_zero_piece_ignored_in_support():
     nu = RealLineMeasure(pieces=((0.0, 1.0, (0.0,)),))
     assert nu.support_bounds() is None
+
+
+def test_zero_parts_are_dropped():
+    nu = RealLineMeasure(
+        atoms=((0.25, 1.0), (0.5, 0.0), (0.75, -0.0j)),
+        pieces=((0.0, 1.0, (0.0, 0j)), (1.0, 2.0, (0.5,))),
+    )
+    assert [a.location for a in nu.atoms] == [0.25]
+    assert [(p.lo, p.hi) for p in nu.pieces] == [(1.0, 2.0)]
+    assert nu == RealLineMeasure(atoms=((0.25, 1.0),), pieces=((1.0, 2.0, (0.5,)),))
+    assert nu.support_bounds() == (0.25, 2.0)
+    assert nu.distance_to_support(0.5 + 0j) == 0.25
+
+
+def test_zero_parts_from_arithmetic_are_dropped():
+    a = RealLineMeasure(atoms=((0.5, 1.0), (0.7, 2.0)))
+    b = RealLineMeasure(atoms=((0.5, -1.0),))
+    assert a + b == RealLineMeasure(atoms=((0.7, 2.0),))
+    real = RealLineMeasure(atoms=((0.5, 1.0),), pieces=((0.0, 1.0, (1.0, 2.0)),))
+    assert real.imag_part() == RealLineMeasure()
+
+
+def test_zero_atoms_are_checked_before_they_are_dropped():
+    with pytest.raises(ValueError):
+        RealLineMeasure(atoms=((0.5, 0.0), (0.5, 1.0)))
+    with pytest.raises(ValueError):
+        RealLineMeasure(atoms=((math.inf, 0.0),))
