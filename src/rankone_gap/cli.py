@@ -35,7 +35,7 @@ from . import (
     enumerate_ktypes_containing,
     evaluate,
     halfopen_grid,
-    invert_interval,
+    invert_measure,
     laplace_numeric,
     minimal_ktypes,
     minimality_norm,
@@ -280,23 +280,19 @@ def _cmd_stieltjes(args) -> int:
         value = transform(nu, complex(args.z_re, args.z_im))
         emit_json({"re": value.real, "im": value.imag})
         return 0
-    re_part, im_part = nu.real_part(), nu.imag_part()
-    F_re = lambda z: transform(re_part, z)  # noqa: E731
-    F_im = lambda z: transform(im_part, z)  # noqa: E731
     if args.cmd == "invert":
-        inv_re = invert_interval(F_re, args.a, args.b, y0=args.y0, k_max=args.k_max)
-        inv_im = invert_interval(F_im, args.a, args.b, y0=args.y0, k_max=args.k_max)
+        inv = invert_measure(nu, args.a, args.b, y0=args.y0, k_max=args.k_max)
         emit_json(
             {
-                "mass_re": inv_re.value,
-                "mass_im": inv_im.value,
-                "error_re": inv_re.error_estimate,
-                "error_im": inv_im.error_estimate,
-                "converged": inv_re.converged and inv_im.converged,
+                "mass_re": inv.mass.real,
+                "mass_im": inv.mass.imag,
+                "error_re": inv.error_re,
+                "error_im": inv.error_im,
+                "converged": inv.converged,
             }
         )
         return 0
-    report = vanishing_detector(F_re, F_im, args.a, args.b)
+    report = vanishing_detector(nu, args.a, args.b)
     emit_json(report.to_json())
     return 0 if report.verdict != "inconclusive" else 1
 

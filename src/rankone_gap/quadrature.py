@@ -65,7 +65,7 @@ class QuadratureError(RuntimeError):
 @dataclass
 class QuadResult:
     value: object  # scalar or ndarray matching the integrand's leading axes
-    error: float
+    error: object  # float, or ndarray per component like ``value``
     converged: bool
     edges: np.ndarray = field(default_factory=lambda: np.array([]))
 
@@ -83,7 +83,9 @@ def integrate_adaptive(
 
     ``f(x)`` takes a 1-d array of abscissae and returns an array whose LAST
     axis matches ``x``; any leading axes are integrated componentwise, with
-    panel acceptance driven by the worst component.  ``breaks`` seeds the
+    panel acceptance driven by the worst component.  ``error`` is then per
+    component: the sum of |K15 - G7| over the accepted panels, which is
+    exactly 0 for a component that is identically 0.  ``breaks`` seeds the
     initial subdivision (useful when the caller knows where the integrand is
     peaked); otherwise [a, b] is split uniformly into ``init_panels`` panels.
     Local acceptance uses the standard width-proportional budget
@@ -96,9 +98,8 @@ def integrate_adaptive(
         raise ValueError("integration interval must satisfy a < b")
     width = b - a
     if breaks is not None:
-        pts = np.asarray(sorted({float(a), float(b), *(
-            float(t) for t in np.atleast_1d(breaks) if a < float(t) < b
-        )}))
+        t = np.asarray(breaks, dtype=float).ravel()
+        pts = np.unique(np.concatenate([[a, b], t[(a < t) & (t < b)]]))
     else:
         pts = np.linspace(a, b, max(2, init_panels + 1))
     lo = pts[:-1].copy()
@@ -126,11 +127,11 @@ def integrate_adaptive(
         k15 = (y * KRONROD_WEIGHTS).sum(axis=-1) * half
         g7 = (y * GAUSS_WEIGHTS).sum(axis=-1) * half
         err = np.abs(k15 - g7)
-        if err.ndim > 1:
-            err = err.reshape(-1, lo.size).max(axis=0, initial=0.0)  # 0 for an empty batch
+        # panels are accepted on the worst component (0 for an empty stack)
+        worst = err.reshape(-1, lo.size).max(axis=0, initial=0.0) if err.ndim > 1 else err
 
         budget = tol * (hi - lo) / width
-        done = err <= budget
+        done = worst <= budget
         tiny = (hi - lo) <= min_width
         if np.any(tiny & ~done):
             forced = True
@@ -139,7 +140,7 @@ def integrate_adaptive(
         if np.any(done):
             contrib = k15[..., done].sum(axis=-1)
             total = contrib if total is None else total + contrib
-            err_total += float(err[done].sum())
+            err_total = err_total + err[..., done].sum(axis=-1)
             if collect_edges:
                 acc_lo.append(lo[done])
 
@@ -154,7 +155,8 @@ def integrate_adaptive(
     edges = np.array([])
     if collect_edges and acc_lo:
         edges = np.unique(np.concatenate(acc_lo + [np.array([a, b])]))
-    return QuadResult(value=total, error=err_total, converged=not forced, edges=edges)
+    error = float(err_total) if np.ndim(err_total) == 0 else err_total
+    return QuadResult(value=total, error=error, converged=not forced, edges=edges)
 
 
 def richardson_sweep(values):

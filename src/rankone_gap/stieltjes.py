@@ -7,7 +7,8 @@ Richardson sweep.  For an atomic measure the level values follow an arctan
 law whose linear term the sweep kills exactly, leaving O(y^3); density pieces
 contribute O(y^2) after the sweep.  Refinement boxes found at one level seed
 the next, so the sharpening Poisson peaks are never lost by the adaptive
-subdivision.
+subdivision.  A complex measure is inverted through the stack of its non-zero
+real and imaginary parts, so both share one adaptive pass.
 """
 
 from __future__ import annotations
@@ -101,10 +102,17 @@ def transform(nu: RealLineMeasure, z):
 
 @dataclass
 class InversionResult:
-    value: float
-    error_estimate: float
+    value: object  # float, or ndarray over the leading axes of F
+    error_estimate: object  # like value
     converged: bool
-    levels: tuple[float, ...] = field(default_factory=tuple)
+    levels: tuple = field(default_factory=tuple)  # one value per height
+
+
+def _check_inversion_domain(a: float, b: float, y0: float, k_max: int) -> None:
+    if not b > a:
+        raise ValueError("need a < b")
+    if not (y0 > 0 and k_max >= 2):
+        raise ValueError("need y0 > 0 and k_max >= 2")
 
 
 def invert_interval(
@@ -117,20 +125,22 @@ def invert_interval(
     """Boundary-value inversion of a Stieltjes transform over [a, b].
 
     ``F`` maps a complex array to an array of the same shape, as
-    ``lambda z: transform(nu, z)`` does.  Computes I(y_k) =
-    -(1/pi) int_a^b Im F(x + i y_k) dx on y_k = y0 * 2^-k, k = 0..k_max,
-    then extrapolates with one first-order Richardson sweep.
+    ``lambda z: transform(nu, z)`` does, or to a stack of such arrays (any
+    leading axes), which are inverted together under one subdivision.
+    Computes I(y_k) = -(1/pi) int_a^b Im F(x + i y_k) dx on y_k = y0 * 2^-k,
+    k = 0..k_max, then extrapolates with one first-order Richardson sweep.
+    ``value``, ``error_estimate`` and each of ``levels`` carry the leading
+    axes of ``F``; ``converged`` is one bool for the whole stack.
     The recovered quantity is the half-sum (nu([a,b)) + nu((a,b]))/2, so an
     atom exactly at an endpoint contributes half its weight.  A result whose
-    error estimate exceeds ``TOL_CONVERGED`` is flagged, not suppressed.
+    error estimate exceeds ``TOL_CONVERGED``, or with a level whose quadrature
+    did not converge, is flagged, not suppressed.
     """
-    if not b > a:
-        raise ValueError("need a < b")
-    if not (y0 > 0 and k_max >= 2):
-        raise ValueError("need y0 > 0 and k_max >= 2")
+    _check_inversion_domain(a, b, y0, k_max)
     levels = []
     edges = None
     quad_err = 0.0
+    quad_converged = True
     for k in range(k_max + 1):
         y = y0 * 2.0**-k
 
@@ -146,21 +156,69 @@ def invert_interval(
             init_panels=16,
             collect_edges=True,
         )
-        levels.append(-float(res.value) / np.pi)
+        levels.append(-np.asarray(res.value, dtype=float) / np.pi)
         quad_err = res.error
+        quad_converged = quad_converged and res.converged
         edges = res.edges
         if edges.size > 512:
             edges = edges[:: edges.size // 512 + 1]
 
     swept = richardson_sweep(np.asarray(levels))
-    value = float(np.real(swept[-1]))
-    err = abs(float(np.real(swept[-1] - swept[-2]))) + quad_err / np.pi
+    err = np.abs(swept[-1] - swept[-2]) + quad_err / np.pi
     return InversionResult(
-        value=value,
-        error_estimate=err,
-        converged=err <= TOL_CONVERGED,
-        levels=tuple(levels),
+        value=_plain(swept[-1]),
+        error_estimate=_plain(err),
+        converged=quad_converged and bool(np.all(err <= TOL_CONVERGED)),
+        levels=tuple(_plain(v) for v in levels),
     )
+
+
+def _plain(v):
+    """A 0-d array as a Python float; any other array as it is."""
+    return float(v) if np.ndim(v) == 0 else v
+
+
+@dataclass
+class MeasureInversion:
+    mass: complex
+    error_re: float
+    error_im: float
+    converged: bool
+
+
+def _part_stack(nu: RealLineMeasure):
+    """The rows (0 for Re nu, 1 for Im nu) whose part is not the zero
+    measure, and the transform of their stack, a map from complex ``z`` to
+    an array of shape (rows, *z.shape)."""
+    parts = {i: p for i, p in enumerate((nu.real_part(), nu.imag_part())) if p.atoms or p.pieces}
+
+    def F(z):
+        return np.stack([transform(p, z) for p in parts.values()])
+
+    return tuple(parts), F
+
+
+def _invert_stack(rows, F, a: float, b: float, y0: float, k_max: int) -> MeasureInversion:
+    if not rows:  # the zero measure: mass and error are exactly 0
+        _check_inversion_domain(a, b, y0, k_max)
+        return MeasureInversion(0j, 0.0, 0.0, True)
+    res = invert_interval(F, a, b, y0=y0, k_max=k_max)
+    mass, err = [0.0, 0.0], [0.0, 0.0]
+    for j, i in enumerate(rows):
+        mass[i], err[i] = float(res.value[j]), float(res.error_estimate[j])
+    return MeasureInversion(complex(*mass), err[0], err[1], res.converged)
+
+
+def invert_measure(
+    nu: RealLineMeasure, a: float, b: float, y0: float = 0.5, k_max: int = 12
+) -> MeasureInversion:
+    """``invert_interval`` on Re nu and Im nu in one adaptive pass.
+
+    Only the parts that are not the zero measure are integrated; a zero part
+    has mass and error exactly 0.  A part inverted alone gives the same bits
+    as ``invert_interval(lambda z: transform(part, z), ...)``.
+    """
+    return _invert_stack(*_part_stack(nu), a, b, y0, k_max)
 
 
 @dataclass
@@ -184,30 +242,25 @@ class DetectorReport:
         }
 
 
-def vanishing_detector(F_re, F_im, a: float, b: float) -> DetectorReport:
-    """Decide whether the measure behind a pair of transforms vanishes on (a, b).
+def vanishing_detector(nu: RealLineMeasure, a: float, b: float) -> DetectorReport:
+    """Decide whether the measure ``nu`` vanishes on (a, b).
 
-    ``F_re`` and ``F_im`` are the transforms of the real and imaginary parts,
-    called on complex arrays as in ``invert_interval``.
     The detector probes continuity up to the interval (sup over an x-grid of
-    |F(x+iy) - F(x+iy/2)| along decreasing y) and inverts the transform on a
-    grid of subintervals.  'vanishes' needs all sub-masses below tolerance
+    |F(x+iy) - F(x+iy/2)| along decreasing y, for the transforms F of Re nu
+    and Im nu) and inverts the measure on a grid of subintervals, both parts
+    in one pass as ``invert_measure`` does.
+    'vanishes' needs all sub-masses below tolerance
     and decaying continuity indicators; 'does_not_vanish' needs a converged
     sub-mass above tolerance; everything else is 'inconclusive'.
     """
+    rows, F = _part_stack(nu)
     xs = np.linspace(a, b, DETECT_N_X)
-
-    def continuity(F):
-        sups = []
-        y = DETECT_Y0
-        for _ in range(CONTINUITY_LEVELS):
-            gap = np.abs(F(xs + 1j * y) - F(xs + 1j * (y / 2)))
-            sups.append(float(np.max(gap)))
-            y /= 2
-        return tuple(sups)
-
-    cont_re = continuity(F_re)
-    cont_im = continuity(F_im)
+    ys = DETECT_Y0 * 2.0 ** -np.arange(CONTINUITY_LEVELS + 1)
+    sups = np.zeros((2, CONTINUITY_LEVELS))  # a zero part's transform is 0
+    if rows:
+        vals = F(xs + 1j * ys[:, None])  # (rows, heights, x)
+        sups[list(rows)] = np.abs(vals[:, :-1] - vals[:, 1:]).max(axis=-1)
+    cont_re, cont_im = (tuple(map(float, s)) for s in sups)
 
     def decayed(seq):
         return seq[-1] <= max(CONTINUITY_TOL, 0.5 * seq[0] + 1e-12)
@@ -218,10 +271,9 @@ def vanishing_detector(F_re, F_im, a: float, b: float) -> DetectorReport:
     masses = []
     errors = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        inv_re = invert_interval(F_re, lo, hi, y0=DETECT_Y0)
-        inv_im = invert_interval(F_im, lo, hi, y0=DETECT_Y0)
-        masses.append(complex(inv_re.value, inv_im.value))
-        errors.append(inv_re.error_estimate + inv_im.error_estimate)
+        inv = _invert_stack(rows, F, lo, hi, y0=DETECT_Y0, k_max=12)
+        masses.append(inv.mass)
+        errors.append(inv.error_re + inv.error_im)
 
     exceeding = [
         (m, e)

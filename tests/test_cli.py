@@ -228,12 +228,14 @@ class TestInputErrors:
         def fail(*args, **kwargs):
             raise QuadratureError("panel budget exhausted")
 
-        monkeypatch.setattr(cli, "invert_interval", fail)
+        monkeypatch.setattr(cli, "invert_measure", fail)
+        monkeypatch.setattr(cli, "vanishing_detector", fail)
         path = tmp_path / "measure.json"
         path.write_text(json.dumps(RealLineMeasure(atoms=((0.5, 1.0),)).to_json()))
-        self.assert_input_error(
-            capsys, ["stieltjes", "invert", "--model", str(path), "--a", "0", "--b", "1"]
-        )
+        for cmd in ("invert", "detect"):
+            self.assert_input_error(
+                capsys, ["stieltjes", cmd, "--model", str(path), "--a", "0", "--b", "1"]
+            )
 
 
 class TestDeterminism:
@@ -483,7 +485,9 @@ def test_model_bytes_unchanged(case, tmp_path):
     ``stieltjes transform/invert/detect`` on untempered models and on measures
     without zero parts, byte for byte, as the CLI printed them while the
     verdict still took a list of (sigma, measure) pairs (commit 01c151c).
-    Each case carries its input document."""
+    The three complex-measure inverts and the two detects were recaptured
+    when a measure's real and imaginary parts began to share one adaptive
+    pass.  Each case carries its input document."""
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(case["document"]))
     argv = with_doc(case["argv"], str(path))
@@ -541,6 +545,31 @@ class TestZeroParts:
         plain = self.run_on(capsys, tmp_path, two_channel_doc([(1.2, 0.5)]), argv)
         zeros = two_channel_doc([(1.2, 0.5), (1.9, 0.0)], [(0.5, 3.0, [0.0, 0.0])])
         assert plain[0] in (0, 1) and self.run_on(capsys, tmp_path, zeros, argv) == plain
+
+
+class TestEmptyMeasureInversion:
+    """The zero measure is not integrated, but its inversion keeps the
+    domain checks and prints exact zeros."""
+
+    @pytest.mark.parametrize("extra, line", [
+        (["--a", "0", "--b", "1", "--y0", "0"], "error: need y0 > 0 and k_max >= 2\n"),
+        (["--a", "0", "--b", "1", "--k-max", "1"], "error: need y0 > 0 and k_max >= 2\n"),
+        (["--a", "2", "--b", "1"], "error: need a < b\n"),
+    ])
+    def test_domain_errors(self, capsys, tmp_path, extra, line):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"atoms": [], "densities": []}))
+        argv = ["stieltjes", "invert", "--model", str(path), *extra]
+        assert invoke(capsys, argv) == (2, "", line)
+
+    def test_zero_masses(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"atoms": [], "densities": []}))
+        code, out, _ = invoke(capsys, ["stieltjes", "invert", "--model", str(path), "--a", "0", "--b", "1"])
+        assert code == 0 and out == (
+            '{"schema":"rankone-gap/1","mass_re":0.0,"mass_im":0.0,'
+            '"error_re":0.0,"error_im":0.0,"converged":true}\n'
+        )
 
 
 class TestJsonRoundTrips:

@@ -59,6 +59,33 @@ class TestAdaptive:
         res = integrate_adaptive(f, 0.0, 2.0, tol=1e-11)
         assert np.allclose(res.value, [2.0, 8 / 3, 1 - math.cos(2)], rtol=1e-10)
 
+    def test_error_per_component(self):
+        def f(x):
+            return np.stack([np.cos(40 * x), 0 * x])
+
+        res = integrate_adaptive(f, 0.0, 3.0, tol=1e-10)
+        assert res.error.shape == res.value.shape == (2,)
+        assert res.error[0] > 0 and res.error[1] == 0.0 and res.value[1] == 0.0
+
+    def test_one_row_stack_keeps_bits(self):
+        def f(x):
+            return 1e-3 / ((x - 0.3) ** 2 + 1e-6) + np.sin(7 * x)
+
+        breaks = [0.2, 0.3, 0.3, 0.35]
+        flat = integrate_adaptive(f, -1.0, 1.0, breaks=breaks, collect_edges=True)
+        row = integrate_adaptive(lambda x: f(x)[None], -1.0, 1.0, breaks=breaks, collect_edges=True)
+        assert row.value[0] == flat.value and row.error[0] == flat.error
+        assert type(flat.error) is float
+        assert np.array_equal(row.edges, flat.edges)
+
+    def test_breaks_seed_sorted_distinct_interior_points(self):
+        # a zero integrand accepts every initial panel, so the edges are the seed
+        res = integrate_adaptive(
+            lambda x: 0 * x, 0.0, 1.0, breaks=[0.5, 0.2, 0.5, -1.0, 0.0, 1.0, 2.0, 0.7, math.nan],
+            collect_edges=True,
+        )
+        assert res.edges.tolist() == [0.0, 0.2, 0.5, 0.7, 1.0]
+
     def test_complex_values(self):
         res = integrate_adaptive(lambda x: np.exp(1j * x), 0.0, np.pi, tol=1e-12)
         assert res.value == pytest.approx(2j, abs=1e-12)

@@ -9,6 +9,7 @@ from rankone_gap import (
     SingularPointError,
     half_weighted_mass,
     invert_interval,
+    invert_measure,
     is_zero_by_interval_family,
     transform,
     vanishing_detector,
@@ -191,38 +192,151 @@ class TestInvertInterval:
             assert abs(res.value - truth) <= max(res.error_estimate * 10, 1e-7)
 
 
-class TestVanishingDetector:
-    def make_callables(self, nu):
-        re_part, im_part = nu.real_part(), nu.imag_part()
-        return (
-            lambda z: transform(re_part, z),
-            lambda z: transform(im_part, z),
-        )
+class TestInvertMeasure:
+    @staticmethod
+    def separate(part, a, b, **kw):
+        return invert_interval(lambda z: transform(part, z), a, b, **kw)
 
+    def test_one_row_stack_keeps_bits(self):
+        nu = RealLineMeasure(atoms=((0.25, -0.5), (0.7, 2.0)), pieces=((0.1, 0.9, (1.0, 0.5)),))
+        one = self.separate(nu, 0.0, 1.0)
+        stacked = invert_interval(lambda z: transform(nu, z)[None], 0.0, 1.0)
+        assert stacked.value.shape == stacked.error_estimate.shape == (1,)
+        assert stacked.value[0] == one.value
+        assert stacked.error_estimate[0] == one.error_estimate
+        assert [lv[0] for lv in stacked.levels] == list(one.levels)
+        assert stacked.converged is one.converged is True
+
+    @pytest.mark.parametrize("k_max", [12, 5])
+    def test_real_only_and_imaginary_only_match_separate(self, k_max):
+        for nu, a, b in [
+            (RealLineMeasure(atoms=((0.3, 0.7), (0.0, -1.0))), 0.0, 1.0),
+            (RealLineMeasure(pieces=((0.0, 1.0, (0.5, 1.0)),)), 0.2, 0.8),
+        ]:
+            imag = RealLineMeasure(
+                atoms=tuple((t.location, 1j * t.weight) for t in nu.atoms),
+                pieces=tuple((p.lo, p.hi, tuple(1j * c for c in p.coeffs)) for p in nu.pieces),
+            )
+            ref = self.separate(nu, a, b, y0=0.25, k_max=k_max)
+            got = invert_measure(nu, a, b, y0=0.25, k_max=k_max)
+            assert (got.mass.real, got.error_re, got.converged) == (
+                ref.value, ref.error_estimate, ref.converged)
+            assert (got.mass.imag, got.error_im) == (0.0, 0.0)
+            got = invert_measure(imag, a, b, y0=0.25, k_max=k_max)
+            assert (got.mass.imag, got.error_im, got.converged) == (
+                ref.value, ref.error_estimate, ref.converged)
+            assert (got.mass.real, got.error_re) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("nu, a, b", [
+        (RealLineMeasure(atoms=((0.5, 1.0j),)), 0.0, 1.0),
+        (RealLineMeasure(atoms=((0.25, -0.5 + 0.3j), (0.7, 2.0 - 1j))), 0.0, 0.7),
+        (RealLineMeasure(pieces=((0.0, 1.0, (1.0j, 1.0)),)), 0.2, 0.9),
+        (RealLineMeasure(atoms=((0.3, 1.0j),), pieces=((0.0, 1.0, (0.0, 1.0)),)), 0.1, 0.8),
+    ])
+    def test_complex_measures_recover_half_weighted_mass(self, nu, a, b):
+        got = invert_measure(nu, a, b)
+        assert got.converged
+        assert abs(got.mass - half_weighted_mass(nu, a, b)) <= 1e-3
+        # each part's error is its own, not the stack's worst
+        re = self.separate(nu.real_part(), a, b)
+        im = self.separate(nu.imag_part(), a, b)
+        assert abs(got.mass.real - re.value) <= got.error_re + re.error_estimate
+        assert abs(got.mass.imag - im.value) <= got.error_im + im.error_estimate
+
+    def test_stacked_converged_is_a_bool(self):
+        nu = RealLineMeasure(atoms=((0.5, 1.0 + 2.0j),))
+        res = invert_interval(
+            lambda z: np.stack([transform(nu.real_part(), z), transform(nu.imag_part(), z)]),
+            0.0, 1.0,
+        )
+        assert res.value.shape == (2,) and type(res.converged) is bool and res.converged
+
+    def test_zero_measure_is_not_integrated(self, monkeypatch):
+        import rankone_gap.stieltjes as stj
+
+        monkeypatch.setattr(stj, "integrate_adaptive", None)  # any call would fail
+        got = invert_measure(RealLineMeasure(), 0.0, 1.0)
+        assert (got.mass, got.error_re, got.error_im, got.converged) == (0j, 0.0, 0.0, True)
+
+    @pytest.mark.parametrize("a, b, y0, k_max, message", [
+        (0.0, 1.0, 0.0, 12, "y0 > 0 and k_max >= 2"),
+        (0.0, 1.0, 0.5, 1, "y0 > 0 and k_max >= 2"),
+        (2.0, 1.0, 0.5, 12, "need a < b"),
+    ])
+    def test_zero_measure_keeps_domain_checks(self, a, b, y0, k_max, message):
+        for nu in (RealLineMeasure(), RealLineMeasure(atoms=((0.5, 1.0j),))):
+            with pytest.raises(ValueError, match=message):
+                invert_measure(nu, a, b, y0=y0, k_max=k_max)
+
+    def test_level_not_converged_is_reported(self, monkeypatch):
+        import rankone_gap.stieltjes as stj
+
+        calls = []
+
+        def one_level_forced(*args, **kwargs):
+            res = integrate_adaptive(*args, **kwargs)
+            calls.append(res.converged)
+            if len(calls) % 13 == 5:  # the fifth of the 13 levels
+                res.converged = False
+            return res
+
+        integrate_adaptive = stj.integrate_adaptive
+        monkeypatch.setattr(stj, "integrate_adaptive", one_level_forced)
+        res = invert_interval(lambda z: transform(ATOM0, z), -1.0, 1.0)
+        assert all(calls) and len(calls) == 13
+        assert res.converged is False
+        assert res.error_estimate <= 1e-6  # the error alone would pass
+        assert invert_measure(ATOM0, -1.0, 1.0).converged is False
+
+
+class TestVanishingDetector:
     def test_disjoint_support_vanishes(self):
-        F_re, F_im = self.make_callables(RealLineMeasure(atoms=((2.0, 1.0),)))
-        report = vanishing_detector(F_re, F_im, 0.0, 1.0)
+        report = vanishing_detector(RealLineMeasure(atoms=((2.0, 1.0),)), 0.0, 1.0)
         assert report.verdict == "vanishes"
         assert not report.continuity_blowup
 
     def test_density_mass_detected(self):
-        F_re, F_im = self.make_callables(UNIFORM01)
-        report = vanishing_detector(F_re, F_im, 0.3, 0.6)
+        report = vanishing_detector(UNIFORM01, 0.3, 0.6)
         assert report.verdict == "does_not_vanish"
         assert sum(m.real for m in report.sub_masses) == pytest.approx(0.3, abs=1e-3)
 
     def test_interior_atom_detected_with_blowup(self):
-        F_re, F_im = self.make_callables(RealLineMeasure(atoms=((0.5, 1.0),)))
-        report = vanishing_detector(F_re, F_im, 0.0, 1.0)
+        report = vanishing_detector(RealLineMeasure(atoms=((0.5, 1.0),)), 0.0, 1.0)
         assert report.verdict == "does_not_vanish"
         assert report.continuity_blowup
 
     def test_complex_weights(self):
         nu = RealLineMeasure(atoms=((0.5, 1.0j),))
-        F_re, F_im = self.make_callables(nu)
-        report = vanishing_detector(F_re, F_im, 0.0, 1.0)
+        report = vanishing_detector(nu, 0.0, 1.0)
         assert report.verdict == "does_not_vanish"
         assert sum(m.imag for m in report.sub_masses) == pytest.approx(1.0, abs=1e-3)
+        assert report.continuity_re == (0.0,) * len(report.continuity_im)
+
+    def test_sub_masses_are_measure_inversions(self):
+        nu = RealLineMeasure(atoms=((0.3, 0.5 - 1.0j),), pieces=((0.0, 1.0, (1.0, 0.5j)),))
+        report = vanishing_detector(nu, 0.0, 1.0)
+        cuts = np.linspace(0.0, 1.0, len(report.sub_masses) + 1)
+        for m, e, lo, hi in zip(report.sub_masses, report.sub_errors, cuts[:-1], cuts[1:]):
+            inv = invert_measure(nu, lo, hi)
+            assert (m, e) == (inv.mass, inv.error_re + inv.error_im)
+
+    def test_continuity_probe_matches_pointwise_gaps(self):
+        nu = RealLineMeasure(atoms=((0.5, 1.0 - 2.0j),), pieces=((0.2, 0.7, (1.0j,)),))
+        report = vanishing_detector(nu, 0.0, 1.0)
+        xs = np.linspace(0.0, 1.0, 41)
+        for part, got in ((nu.real_part(), report.continuity_re),
+                          (nu.imag_part(), report.continuity_im)):
+            y, want = 0.5, []
+            for _ in got:
+                want.append(float(np.max(np.abs(
+                    transform(part, xs + 1j * y) - transform(part, xs + 1j * (y / 2))))))
+                y /= 2
+            assert list(got) == want
+
+    def test_zero_measure_vanishes(self):
+        report = vanishing_detector(RealLineMeasure(), 0.0, 1.0)
+        assert report.verdict == "vanishes"
+        assert set(report.sub_masses) == {0j} and set(report.sub_errors) == {0.0}
 
 
 class TestIntervalFamily:
