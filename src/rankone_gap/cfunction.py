@@ -1,20 +1,26 @@
-"""Harish-Chandra C-function scalars as exact Gamma-factor ratios, with a
-log-domain evaluator that tracks signs and classifies poles and zeros.
+"""Harish-Chandra C-function scalars as exact Gamma-factor ratios, with an
+evaluator that reduces them to a constant times a rational function of s and
+classifies poles and zeros.
 
 The scalar attached to a K-type tau over SO(d+1) and an M-type sigma over
 SO(d) is a ratio of products of Gamma(u*s + a) factors with a rational
 prefactor and, for odd d, an extra 2**(-2s+d) * Gamma(2s).  All offsets are
-integers or half-integers, so identical factors cancel exactly; evaluation of
-the canceled form works through log-Gamma and never multiplies singular
-values.
+integers or half-integers, so identical factors cancel exactly.  For
+evaluation, Legendre duplication splits Gamma(2s) into
+2**(2s-1) / sqrt(pi) * Gamma(s) Gamma(s + 1/2), and numerator and denominator
+factors whose offsets differ by an integer pair up: Gamma(s+a)/Gamma(s+b) is
+(s+b)(s+b+1)...(s+a-1) for a > b and the reciprocal of such a product for
+a < b.  Every even-d scalar is then a constant times a rational function;
+an odd-d scalar keeps one Gamma(s) / Gamma(s + m + 1/2) on log-Gamma, and so
+does a pair that would take the linear factors past ``_LINEAR_CAP``.
 
-Classification at a point s: every singular point of a factor Gamma(u*s + a)
-is a half-integer s0, and the factor is a singular hit when u*s0 + a is a
-non-positive integer and |s - s0| <= ``TOL_POLE`` (distance in s, whatever
-the slope u).  More hits in the numerator than in the denominator make a
-pole, fewer make a zero, and equal counts give the value at s from the exact
-remainders of the hit factors.  One array evaluator serves single points and
-whole scan grids.
+Classification at a point s: every singular point of a linear factor
+(s + j) and of a Gamma(u*s + a) factor is a half-integer s0, and the factor
+is a singular hit when |s - s0| <= ``TOL_POLE`` (distance in s, whatever the
+slope u).  A linear factor hit is a zero of its side and a Gamma factor hit
+a pole; more poles than zeros make a pole, fewer make a zero, and equal
+counts give the value at s with the (s - s0) of every hit dropped.  One
+array evaluator serves single points and whole scan grids.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +42,11 @@ TOL_NONVANISH = 1e-12
 # exp() overflows just above this; larger log magnitudes are reported as
 # errors rather than silently returned as inf/0.
 _LOG_LIMIT = 700.0
+_LN2 = math.log(2.0)
+# At most this many linear factors: a Gamma pair that would go beyond it
+# stays on log-Gamma, so the size of a weight's entries does not set the cost,
+# and a product of frexp mantissas stays within [2**-64, 2**64].
+_LINEAR_CAP = 64
 
 
 class EvaluationOverflowError(ArithmeticError):
@@ -92,6 +104,69 @@ class GammaRatioExpr:
         pieces.append(gam(self.numerator))
         return " * ".join(pieces) + " / [" + gam(self.denominator) + "]"
 
+    @cached_property
+    def reduced(self) -> "ReducedRatio":
+        """The same ratio with Gamma(2s + a) duplicated and the factors paired
+        into linear factors; computed once per expression."""
+        alpha, beta = self.two_power
+        constant = float(self.prefactor)
+        twice: dict[int, list[int]] = {1: [], -1: []}  # side -> 2a of each Gamma(s + a)
+        for factors, side in ((self.numerator, 1), (self.denominator, -1)):
+            for u, a in factors:
+                if u == 1 and a.denominator in (1, 2):
+                    twice[side].append(2 * a.numerator // a.denominator)
+                elif u == 2 and a.denominator == 1:
+                    # Gamma(2z) = 2**(2z-1) / sqrt(pi) * Gamma(z) Gamma(z + 1/2), z = s + a/2
+                    alpha += 2 * side
+                    beta += (a - 1) * side
+                    constant *= math.sqrt(math.pi) ** -side
+                    twice[side] += [a.numerator, a.numerator + 1]
+                else:
+                    raise ValueError(f"Gamma({u}*s + {a}) has singular points off the half-integers")
+        linear: dict[int, list[float]] = {1: [], -1: []}
+        gammas: dict[int, list[int]] = {1: [], -1: []}
+        for parity in (0, 1):  # offsets that differ by an integer
+            top = sorted(c for c in twice[1] if c % 2 == parity)
+            bottom = sorted(c for c in twice[-1] if c % 2 == parity)
+            for a2, b2 in zip(top, bottom):  # twice the offsets a, b of a pair
+                count = abs(a2 - b2) // 2
+                if len(linear[1]) + len(linear[-1]) + count > _LINEAR_CAP:
+                    gammas[1].append(a2)
+                    gammas[-1].append(b2)
+                else:  # Gamma(s+a)/Gamma(s+b) = (s+b)(s+b+1)...(s+a-1) for a > b
+                    linear[1 if a2 > b2 else -1] += [min(a2, b2) / 2 + i for i in range(count)]
+            gammas[1] += top[len(bottom):]
+            gammas[-1] += bottom[len(top):]
+        whole = math.floor(beta)
+        mantissa, exponent = math.frexp(constant)
+        return ReducedRatio(
+            mantissa=mantissa,
+            exponent=exponent + whole,
+            log_two=(float(alpha), float(beta - whole)),
+            linear=np.array(linear[1] + linear[-1]),
+            top=len(linear[1]),
+            gamma_offsets=np.array(sorted(gammas[1]) + sorted(gammas[-1])) / 2,
+            gamma_sides=np.array([1] * len(gammas[1]) + [-1] * len(gammas[-1]), dtype=int),
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class ReducedRatio:
+    """mantissa * 2**(exponent + alpha*s + beta) * prod (s + j)**(+-1) *
+    prod Gamma(s + a)**side, with log_two = (alpha, beta): the evaluable form
+    of a ``GammaRatioExpr``.  The linear factors (s + j) come from Gamma pairs
+    whose offsets differ by an integer, the first ``top`` of them from the
+    numerator.  The Gamma factors are the unpaired ones, and the pairs that
+    ``_LINEAR_CAP`` keeps on log-Gamma, numerator first."""
+
+    mantissa: float
+    exponent: int
+    log_two: tuple[float, float]
+    linear: np.ndarray
+    top: int
+    gamma_offsets: np.ndarray
+    gamma_sides: np.ndarray
+
 
 def cfunction_expr(
     tau: HighestWeight, sigma: HighestWeight, d: int, normalize: bool = True
@@ -143,53 +218,70 @@ class GammaValue:
 
 def _evaluate_grid(expr: GammaRatioExpr, s) -> tuple[np.ndarray, np.ndarray]:
     """Values and classifications ('finite' | 'zero' | 'pole') at every point
-    of the 1-D array s.
+    of the 1-D array s, from ``expr.reduced``.
 
-    Singular Gamma arguments are never exponentiated.  At a hit x = -k + eps,
-    eps * Gamma(x) = (-1)^k (pi eps / sin(pi eps)) / Gamma(1 - x), and the
-    sine factor is 1 in double precision for |eps| <= 2 TOL_POLE.  Every hit
-    at s sits on the same half-integer s0, so with equal counts the leftover
-    1 / (u * (s - s0)) factors cancel down to the slopes u.  Log terms are
-    added in the order the factors are written and exponentiated point by
-    point with math.exp; np.exp differs from it in the last bit on some
-    inputs, which moves printed digits.  An argument that overflows (|s| near
-    1e308) raises FloatingPointError, an ArithmeticError.
+    Each linear factor is split by frexp into a mantissa and a power of two;
+    the mantissas are multiplied and the powers added, so no intermediate
+    product overflows while the value is representable.  The remaining Gamma
+    factors go through ``math.lgamma`` point by point.  Singular values are
+    never formed: at a hit the (s - s0) of a linear factor (s + j) is
+    dropped, leaving 1, and so is the 1/(s - s0) of a Gamma factor, by the
+    reflection
+    eps * Gamma(x) = (-1)^k (pi eps / sin(pi eps)) / Gamma(1 - x) at
+    x = -k + eps, whose sine factor is 1 in double precision for
+    |eps| <= TOL_POLE.  Every hit at s sits on the same half-integer s0, so
+    with equal counts the dropped factors cancel exactly.  An argument that
+    overflows (|s| near 1e308) raises FloatingPointError, an ArithmeticError.
     """
     s = np.asarray(s, dtype=float)
     if not np.isfinite(s).all():
         raise ValueError(f"s must be finite, got {s[~np.isfinite(s)][0]}")
-    alpha, beta = expr.two_power
-    n = s.size
-    net = np.zeros(s.shape, dtype=int)
-    sign = np.ones_like(s)
+    red = expr.reduced
+    alpha, beta = red.log_two
     with np.errstate(over="raise", invalid="raise"):
         # every singular point is a half-integer s0: a hit is |s - s0| <= TOL_POLE
         # (s0 = round(2 s) / 2 without forming 2 s, which overflows near 1e308)
         whole = np.floor(s)
         s0 = whole + np.round(2 * (s - whole)) / 2
         near = np.abs(s - s0) <= TOL_POLE
-        two_power = (float(alpha) * s + float(beta)) * math.log(2.0)
-        log_mag = math.log(float(expr.prefactor)) + two_power
-        for factors, side in ((expr.numerator, 1), (expr.denominator, -1)):
-            for u, a in factors:
-                x = float(u) * s + float(a)
-                k = float(u) * s0 + float(a)  # exact: u in {1, 2}, a a half-integer
-                hit = near & (k <= 0) & (k == np.floor(k))
-                lg = np.fromiter(map(math.lgamma, np.where(hit, 1.0 - x, x).tolist()), float, n)
-                log_mag += side * np.where(hit, -lg - math.log(float(u)), lg)
-                net += side * hit
-                odd = np.where(hit, k, np.floor(x)) % 2 == 1
-                # Gamma < 0 on (-2j-1, -2j); eps * Gamma(x) has the sign (-1)^k
-                sign = np.where((x < 0) & odd, -sign, sign)
-    finite = net == 0
-    over = finite & (np.abs(log_mag) > _LOG_LIMIT)
-    if over.any():
-        i = int(np.argmax(over))
-        raise EvaluationOverflowError(
-            f"log magnitude {log_mag[i]:.3g} exceeds double-precision range at s={float(s[i])}"
-        )
+        # one row per factor; a hit linear factor (s + j) = s - s0 becomes 1
+        factors = s + red.linear[:, None]
+        zeros = near & (s0 == -red.linear[:, None])
+        factors[zeros] = 1.0
+        parts, powers = np.frexp(factors)
+        top = red.top
+        mantissa = red.mantissa * parts[:top].prod(axis=0) / parts[top:].prod(axis=0)
+        exponent = red.exponent + powers[:top].sum(axis=0) - powers[top:].sum(axis=0)
+        x = s + red.gamma_offsets[:, None]
+        k = s0 + red.gamma_offsets[:, None]
+        poles = near & (k <= 0) & (k == np.floor(k))
+        arg = np.where(poles, 1.0 - x, x)
+        lg = np.fromiter(map(math.lgamma, arg.ravel().tolist()), float, arg.size).reshape(arg.shape)
+        lg[poles] *= -1.0
+        # log terms added in the order the factors are written
+        log_mag = (alpha * s + beta) * _LN2
+        for side, row in zip(red.gamma_sides.tolist(), lg):
+            log_mag += side * row
+        sides = red.gamma_sides[:, None]
+        net = (poles * sides).sum(axis=0) - zeros[:top].sum(axis=0) + zeros[top:].sum(axis=0)
+        # Gamma < 0 on (-2j-1, -2j); eps * Gamma(x) has the sign (-1)^k
+        odd = np.where(poles, k, np.floor(x)) % 2 == 1
+        sign = 1.0 - 2.0 * (((x < 0) & odd).sum(axis=0) % 2)
+        finite = np.flatnonzero(net == 0)
+        log_mag, mantissa, exponent = log_mag[finite], mantissa[finite], exponent[finite]
+        total = log_mag + exponent * _LN2 + np.log(np.abs(mantissa))
+        over = np.abs(total) > _LOG_LIMIT
+        if over.any():
+            i = int(np.argmax(over))
+            raise EvaluationOverflowError(
+                f"log magnitude {total[i]:.3g} exceeds double-precision range "
+                f"at s={float(s[finite[i]])}"
+            )
+        # exp(log_mag) alone may leave the range that the value is in
+        shift = np.where(np.abs(log_mag) > _LOG_LIMIT, np.rint(log_mag / _LN2), 0.0)
+        magnitude = np.ldexp(mantissa * np.exp(log_mag - shift * _LN2), exponent + shift.astype(int))
     values = np.where(net > 0, math.inf, 0.0)
-    values[finite] = sign[finite] * np.fromiter(map(math.exp, log_mag[finite].tolist()), float)
+    values[finite] = sign[finite] * magnitude
     return values, _CLASSES[np.sign(net) + 1]
 
 
@@ -213,25 +305,32 @@ def main_term_scalar(
     return float(ratio) * gv.value
 
 
-def halfopen_grid(lo: float, hi: float, n: int) -> list[float]:
-    """n uniform points in the half-open interval (lo, hi]."""
+def halfopen_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """n uniform points lo + step * k, k = 1..n, in the half-open interval (lo, hi]."""
     if n < 1 or not hi > lo:
         raise ValueError("need n >= 1 and hi > lo")
     step = (hi - lo) / n
-    return [lo + step * k for k in range(1, n + 1)]
+    return lo + step * np.arange(1.0, n + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanReport:
     sigma: HighestWeight
     sigma_dual: HighestWeight
     tau: HighestWeight
-    rows: tuple[tuple[float, float, str], ...]  # (s, value, classification)
+    s: np.ndarray
+    values: np.ndarray
+    classes: np.ndarray  # 'finite' | 'zero' | 'pole'
     min_abs: float
     zero_count: int
     pole_count: int
     sign_changes: int
     passed: bool
+
+    @property
+    def rows(self) -> tuple[tuple[float, float, str], ...]:
+        """(s, value, classification) per grid point."""
+        return tuple(zip(self.s.tolist(), self.values.tolist(), self.classes.tolist()))
 
 
 def nonvanishing_scan(
@@ -250,7 +349,7 @@ def nonvanishing_scan(
         tau = witness_ktype(sigma, d)
     sigma_dual = dual(sigma)
     expr = cfunction_expr(tau, sigma_dual, d)
-    points = np.fromiter(map(float, grid), float)
+    points = np.asarray(grid, dtype=float)
     values, classes = _evaluate_grid(expr, points)
     finite = values[classes == "finite"]
     signs = np.sign(finite[finite != 0])
@@ -261,7 +360,9 @@ def nonvanishing_scan(
         sigma=sigma,
         sigma_dual=sigma_dual,
         tau=tau,
-        rows=tuple(zip(points.tolist(), values.tolist(), classes.tolist())),
+        s=points,
+        values=values,
+        classes=classes,
         min_abs=min_abs,
         zero_count=zeros,
         pole_count=poles,

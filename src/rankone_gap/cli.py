@@ -13,7 +13,6 @@ codes: 0 success/PASS, 1 FAIL verdicts, 2 usage or input errors (one
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -68,12 +67,16 @@ def round15(obj):
     return obj
 
 
-def emit_csv(header: str, rows: list | tuple) -> None:
-    """Write a CSV table with one write: floats as ``%.15g`` (the digits of
-    ``fmt``), strings as they are."""
-    line = ",".join("%s" if isinstance(x, str) else "%.15g" for x in rows[0]) if rows else ""
-    cells = tuple(itertools.chain.from_iterable(rows))
-    sys.stdout.write(f"{header}\n" + (f"{line}\n" * len(rows)) % cells)
+def emit_csv(header: str, columns) -> None:
+    """Write a CSV table from its equal-length columns with one write: floats
+    as ``%.15g`` (the digits of ``fmt``), strings as they are."""
+    columns = [np.asarray(col) for col in columns]
+    width, n = len(columns), len(columns[0])
+    line = ",".join("%s" if col.dtype.kind == "U" else "%.15g" for col in columns)
+    cells = [None] * (width * n)
+    for i, col in enumerate(columns):
+        cells[i::width] = col.tolist()
+    sys.stdout.write(f"{header}\n" + (f"{line}\n" * n) % tuple(cells))
 
 
 def emit_json(doc: dict) -> None:
@@ -260,7 +263,7 @@ def _cmd_cfun(args) -> int:
     grid = halfopen_grid(lo, hi, args.grid)
     tau = parse_weight(args.d + 1, args.tau) if args.tau is not None else None
     report = nonvanishing_scan(sigma, args.d, grid, tau=tau)
-    emit_csv("s,value,classification", report.rows)
+    emit_csv("s,value,classification", (report.s, report.values, report.classes))
     return 0 if report.passed else 1
 
 
@@ -311,14 +314,13 @@ def _cmd_sim(args) -> int:
             raise ValueError("--t-max must be non-negative")
         ts = np.arange(0.0, args.t_max + args.dt / 2, args.dt)
         values = correlation(model, ts)
-        emit_csv("t,re,im", list(zip(ts.tolist(), values.real.tolist(), values.imag.tolist())))
+        emit_csv("t,re,im", (ts, values.real, values.imag))
         return 0
     if args.cmd == "laplace":
-        zs = parse_zgrid(args.z_grid)
-        res = laplace_numeric(model, np.array(zs), t_max=args.t_max)
+        zs = np.array(parse_zgrid(args.z_grid))
+        res = laplace_numeric(model, zs, t_max=args.t_max)
         emit_csv("z_re,z_im,re,im,truncation_bound",
-                 [(z.real, z.imag, v.real, v.imag, b)
-                  for z, v, b in zip(zs, res.value, res.truncation_bound)])
+                 (zs.real, zs.imag, res.value.real, res.value.imag, res.truncation_bound))
         return 0
     if args.cmd == "compare":
         closed = _load_model(args.closed_model) if args.closed_model else None

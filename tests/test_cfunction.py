@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from rankone_gap import (
     validate,
     witness_ktype,
 )
-from rankone_gap.cfunction import TOL_POLE, _evaluate_grid
+from rankone_gap.cfunction import _evaluate_grid
 
 from oracle_weights import enumerate_weights
 
@@ -219,10 +220,10 @@ def test_halfopen_grid_endpoints():
     assert grid[-1] == 2.0
 
 
-def mp_ratio(expr, s):
-    """The ratio at s from its Gamma factors in 30-digit mpmath; rgamma is
+def mp_ratio(expr, s, dps=30):
+    """The ratio at s from its Gamma factors in dps-digit mpmath; rgamma is
     entire, so denominator factors may sit anywhere."""
-    with mpmath.workdps(30):
+    with mpmath.workdps(dps):
         s = mpmath.mpf(s)
 
         def mp(q):
@@ -235,6 +236,16 @@ def mp_ratio(expr, s):
         for u, a in expr.denominator:
             out *= mpmath.rgamma(mp(u) * s + mp(a))
         return out
+
+
+def mp_value(expr, s):
+    """``mp_ratio`` at s, or, where a numerator Gamma factor is singular at s
+    itself, its limit there (the ratio 1e-40 away, in 60 digits)."""
+    try:
+        return mp_ratio(expr, s)
+    except ValueError:
+        with mpmath.workdps(60):
+            return mp_ratio(expr, mpmath.mpf(s) + mpmath.mpf(10) ** -40, dps=60)
 
 
 def singular_slopes(factors, s0):
@@ -303,32 +314,6 @@ class TestPairedSingularities:
             )
 
 
-def reference_point(expr, s):
-    """(value, classification) at s one point at a time: the log terms of the
-    factors summed in the order they are written, then one math.exp."""
-    alpha, beta = expr.two_power
-    log_mag = math.log(float(expr.prefactor)) + (float(alpha) * s + float(beta)) * math.log(2.0)
-    sign, net = 1.0, 0
-    s0 = round(2 * s) / 2
-    for factors, side in ((expr.numerator, 1), (expr.denominator, -1)):
-        for u, a in factors:
-            x = float(u) * s + float(a)
-            k = float(u) * s0 + float(a)
-            if abs(s - s0) <= TOL_POLE and k <= 0 and k == math.floor(k):
-                # eps * Gamma(x) = (-1)^k / Gamma(1 - x) up to a factor 1 + O(eps^2)
-                log_mag += side * (-math.lgamma(1.0 - x) - math.log(float(u)))
-                net += side
-                odd = k % 2 == 1
-            else:
-                log_mag += side * math.lgamma(x)
-                odd = math.floor(x) % 2 == 1
-            if x < 0 and odd:
-                sign = -sign
-    if net:
-        return (math.inf, "pole") if net > 0 else (0.0, "zero")
-    return sign * math.exp(log_mag), "finite"
-
-
 def bit_pin_pairs(d):
     """A witness pair and a non-witness pair (sigma, tau) for SO(d)."""
     sigma = enumerate_weights(d, 2)[-1]
@@ -339,16 +324,96 @@ def bit_pin_pairs(d):
 
 @pytest.mark.parametrize("d", range(1, 9))
 def test_evaluate_grid_bits_match_pointwise_reference(d):
-    # == on purpose: a vectorised log-Gamma or exp moves last bits, and so
-    # printed digits
+    # == on purpose: a grid and a single point go through one evaluator, so
+    # a scan row and `cfun eval` at the same s print the same digits
     classes_seen = set()
     for sigma, tau in bit_pin_pairs(d):
         expr = cfunction_expr(tau, dual(sigma), d)
         for lo in (d / 2, -float(d)):
             grid = halfopen_grid(lo, float(d), 2000)
             values, classes = _evaluate_grid(expr, grid)
-            reference = [reference_point(expr, s) for s in grid]
-            assert values.tolist() == [v for v, _ in reference], (d, sigma, tau, lo)
-            assert classes.tolist() == [c for _, c in reference], (d, sigma, tau, lo)
+            reference = [evaluate(expr, s) for s in grid]
+            assert values.tolist() == [gv.value for gv in reference], (d, sigma, tau, lo)
+            assert classes.tolist() == [gv.classification for gv in reference], (d, sigma, tau, lo)
             classes_seen.update(classes.tolist())
     assert "finite" in classes_seen
+
+
+# worst relative error against mp_value on these samples when every factor
+# went through math.lgamma point by point (commit 90caf4f): 1.43e-14 on
+# (d/2, d] and 3.89e-14 on (-d, d]
+@pytest.mark.parametrize("d", range(1, 9))
+def test_evaluate_grid_near_mpmath(d):
+    rng = random.Random(d)
+    for sigma, tau in bit_pin_pairs(d):
+        expr = cfunction_expr(tau, dual(sigma), d)
+        for lo in (d / 2, -float(d)):
+            grid = halfopen_grid(lo, float(d), 2000)
+            values, classes = _evaluate_grid(expr, grid)
+            for i in sorted(rng.sample(range(2000), 150)):
+                if classes[i] == "finite":
+                    ref = mp_value(expr, grid[i])
+                    assert abs(values[i] - ref) <= 1e-14 * abs(ref), (d, sigma, tau, grid[i])
+
+
+def pairing_cases(d):
+    """(sigma, tau): the witness and up to three other K-types for each sigma
+    with entries of magnitude <= 2."""
+    for sigma in enumerate_weights(d, 2):
+        witness = witness_ktype(sigma, d)
+        others = [t for t in enumerate_ktypes_containing(dual(sigma), 3) if t != witness]
+        for tau in [witness, *others[:3]]:
+            yield sigma, tau
+
+
+class TestReduced:
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_rational_up_to_one_gamma_ratio(self, d):
+        # even d: a constant times a rational function; odd d: one
+        # Gamma(s) / Gamma(s + m + 1/2) is left
+        for sigma, tau in pairing_cases(d):
+            red = cfunction_expr(tau, dual(sigma), d).reduced
+            assert red.log_two == (0.0, 0.0)
+            assert red.linear.size <= 12
+            if d % 2 == 0:
+                assert red.gamma_offsets.size == 0
+            else:
+                a, b = red.gamma_offsets
+                assert red.gamma_sides.tolist() == [1, -1] and a == 0.0 and b % 1 == 0.5
+
+    def test_odd_d_constant(self):
+        # 2**(-2s+d) Gamma(2s) = 2**(d-1) / sqrt(pi) * Gamma(s) Gamma(s + 1/2)
+        red = cfunction_expr(validate(4, (0, 0)), validate(3, (0,)), 3).reduced
+        assert math.ldexp(red.mantissa, red.exponent) == pytest.approx(4 / math.sqrt(math.pi), rel=1e-15)
+
+    def test_large_offsets_stay_on_log_gamma(self):
+        expr = cfunction_expr(validate(3, (1000000,)), validate(2, (0,)), 2)
+        red = expr.reduced
+        assert red.linear.size == 0 and red.gamma_offsets.size == 4
+        # log-Gamma near 1e6 is good to about 1e-9 relative (commit 90caf4f:
+        # 4.61e-9 at worst on these points, too)
+        report = nonvanishing_scan(validate(2, (0,)), 2, halfopen_grid(1.0, 2.0, 20000),
+                                   tau=validate(3, (1000000,)))
+        rng = random.Random(0)
+        for i in sorted(rng.sample(range(20000), 40)):
+            ref = mp_ratio(expr, report.s[i])
+            assert abs(report.values[i] - ref) <= 5e-9 * abs(ref)
+
+    def test_intermediate_products_do_not_overflow(self):
+        # (s+1)...(s+16) / ((s+101)...(s+116)) at s = 1e300: each side is
+        # out of range, the value is about 1
+        expr = GammaRatioExpr(
+            prefactor=F(1),
+            two_power=(F(0), F(0)),
+            numerator=((F(1), F(17)), (F(1), F(101))),
+            denominator=((F(1), F(1)), (F(1), F(117))),
+        )
+        assert expr.reduced.linear.size == 32
+        gv = evaluate(expr, 1e300)
+        assert gv.classification == "finite"
+        assert gv.value == pytest.approx(1.0, rel=1e-14)
+
+    def test_rejects_off_half_integer_singularities(self):
+        expr = GammaRatioExpr(F(1), (F(0), F(0)), ((F(2), Fraction(1, 2)),), ())
+        with pytest.raises(ValueError):
+            evaluate(expr, 1.0)

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -492,6 +493,35 @@ def test_model_bytes_unchanged(case, tmp_path):
     path.write_text(json.dumps(case["document"]))
     argv = with_doc(case["argv"], str(path))
     assert run_captured(argv) == (case["code"], case["out"], case["err"])
+
+
+CFUN_GOLDEN = json.loads((Path(__file__).parent / "cli_cfun_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", CFUN_GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_cfun_bytes_unchanged(case, monkeypatch):
+    """``cfun scan``, ``eval`` and ``expr`` byte for byte, as the CLI printed
+    them once the scalars were evaluated as a constant times a rational
+    function: witness scans, scans through poles and zeros on (-d, d], a
+    K-type entry of 10**6, values near singular points, and errors."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_captured(case["argv"]) == (case["code"], case["out"], case["err"])
+
+
+def test_large_entry_scan_costs_like_a_small_one():
+    """A K-type entry of 10**6 keeps its Gamma pairs on log-Gamma: the scan
+    does not run one array product per unit of the entry."""
+
+    def best_of_three(argv):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            run_captured(argv)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    scan = ["cfun", "scan", "--d", "2", "--sigma", "0", "--grid", "20000"]
+    assert best_of_three(scan + ["--tau", "1000000"]) < 5 * best_of_three(scan)
 
 
 def two_channel_doc(atoms, pieces=()):
