@@ -22,7 +22,7 @@ from rankone_gap import (
     validate,
     witness_ktype,
 )
-from rankone_gap.cfunction import _evaluate_grid
+from rankone_gap.cfunction import TOL_POLE, _evaluate_grid
 
 from oracle_weights import enumerate_weights
 
@@ -322,6 +322,21 @@ def bit_pin_pairs(d):
     return [(sigma, witness), (sigma, other)]
 
 
+def reference_class(expr, s):
+    """The class at s from the written Gamma factors one at a time: a factor
+    Gamma(u*s + a) is singular when |s - s0| <= TOL_POLE at a half-integer s0
+    where u*s0 + a is a non-positive integer, and the net count of singular
+    factors, numerator minus denominator, gives pole, zero or finite."""
+    s0 = round(2 * s) / 2
+    net = 0
+    if abs(s - s0) <= TOL_POLE:
+        for factors, side in ((expr.numerator, 1), (expr.denominator, -1)):
+            for u, a in factors:
+                k = float(u) * s0 + float(a)
+                net += side * (k <= 0 and k == math.floor(k))
+    return "pole" if net > 0 else "zero" if net < 0 else "finite"
+
+
 @pytest.mark.parametrize("d", range(1, 9))
 def test_evaluate_grid_bits_match_pointwise_reference(d):
     # == on purpose: a grid and a single point go through one evaluator, so
@@ -335,6 +350,8 @@ def test_evaluate_grid_bits_match_pointwise_reference(d):
             reference = [evaluate(expr, s) for s in grid]
             assert values.tolist() == [gv.value for gv in reference], (d, sigma, tau, lo)
             assert classes.tolist() == [gv.classification for gv in reference], (d, sigma, tau, lo)
+            # the classes of the written factors, before pairing and duplication
+            assert classes.tolist() == [reference_class(expr, s) for s in grid], (d, sigma, tau, lo)
             classes_seen.update(classes.tolist())
     assert "finite" in classes_seen
 
