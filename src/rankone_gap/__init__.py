@@ -55,10 +55,8 @@ from .measures import (
 from .stieltjes import (
     DetectorReport,
     InversionResult,
-    MeasureInversion,
     SingularPointError,
     invert_interval,
-    invert_measure,
     is_zero_by_interval_family,
     transform,
     vanishing_detector,

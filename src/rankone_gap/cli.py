@@ -34,7 +34,7 @@ from . import (
     enumerate_ktypes_containing,
     evaluate,
     halfopen_grid,
-    invert_measure,
+    invert_interval,
     laplace_numeric,
     minimal_ktypes,
     minimality_norm,
@@ -284,7 +284,7 @@ def _cmd_stieltjes(args) -> int:
         emit_json({"re": value.real, "im": value.imag})
         return 0
     if args.cmd == "invert":
-        inv = invert_measure(nu, args.a, args.b, y0=args.y0, k_max=args.k_max)
+        inv = invert_interval(nu, args.a, args.b, y0=args.y0, k_max=args.k_max)
         emit_json(
             {
                 "mass_re": inv.mass.real,

@@ -1,17 +1,17 @@
 """Shared numerical kernels: adaptive Gauss-Kronrod quadrature and one
 first-order Richardson sweep.
 
-The quadrature engine is vectorized in two directions.  Integrands receive a
-flat array of abscissae and may return either a matching array or a stack of
-component rows (any leading axes), so one adaptive subdivision serves a whole
-batch of evaluation points at once.  Panels are processed breadth-first, one
-numpy call per generation, which keeps Python overhead off the hot path when
-the integrand is sharply peaked and thousands of panels are in flight.
+The quadrature serves the Laplace layer, where one subdivision integrates a
+whole batch of t or z points: integrands receive a flat array of abscissae
+and may return either a matching array or a stack of component rows (any
+leading axes).  Panels are processed breadth-first, one numpy call per
+generation, so the Python cost grows with the depth of the subdivision, not
+with the number of panels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +67,6 @@ class QuadResult:
     value: object  # scalar or ndarray matching the integrand's leading axes
     error: object  # float, or ndarray per component like ``value``
     converged: bool
-    edges: np.ndarray = field(default_factory=lambda: np.array([]))
 
 
 def integrate_adaptive(
@@ -75,9 +74,7 @@ def integrate_adaptive(
     a: float,
     b: float,
     tol: float = 1e-9,
-    breaks=None,
     init_panels: int = 8,
-    collect_edges: bool = False,
 ) -> QuadResult:
     """Adaptively integrate ``f`` over [a, b] to absolute tolerance ``tol``.
 
@@ -85,9 +82,8 @@ def integrate_adaptive(
     axis matches ``x``; any leading axes are integrated componentwise, with
     panel acceptance driven by the worst component.  ``error`` is then per
     component: the sum of |K15 - G7| over the accepted panels, which is
-    exactly 0 for a component that is identically 0.  ``breaks`` seeds the
-    initial subdivision (useful when the caller knows where the integrand is
-    peaked); otherwise [a, b] is split uniformly into ``init_panels`` panels.
+    exactly 0 for a component that is identically 0.  [a, b] is first split
+    uniformly into ``init_panels`` panels.
     Local acceptance uses the standard width-proportional budget
     ``tol * (hi - lo) / (b - a)`` so accepted-panel errors sum below ``tol``.
     Panels 2**-48 of the interval wide are accepted as they stand (the result
@@ -97,11 +93,7 @@ def integrate_adaptive(
     if not b > a:
         raise ValueError("integration interval must satisfy a < b")
     width = b - a
-    if breaks is not None:
-        t = np.asarray(breaks, dtype=float).ravel()
-        pts = np.unique(np.concatenate([[a, b], t[(a < t) & (t < b)]]))
-    else:
-        pts = np.linspace(a, b, max(2, init_panels + 1))
+    pts = np.linspace(a, b, max(2, init_panels + 1))
     lo = pts[:-1].copy()
     hi = pts[1:].copy()
 
@@ -110,7 +102,6 @@ def integrate_adaptive(
     panels_spent = 0
     min_width = width * 2.0 ** (-48)
     forced = False
-    acc_lo: list[np.ndarray] = []
 
     while lo.size:
         panels_spent += lo.size
@@ -141,8 +132,6 @@ def integrate_adaptive(
             contrib = k15[..., done].sum(axis=-1)
             total = contrib if total is None else total + contrib
             err_total = err_total + err[..., done].sum(axis=-1)
-            if collect_edges:
-                acc_lo.append(lo[done])
 
         lo_next = lo[~done]
         hi_next = hi[~done]
@@ -152,11 +141,8 @@ def integrate_adaptive(
 
     if total is None:
         total = 0.0
-    edges = np.array([])
-    if collect_edges and acc_lo:
-        edges = np.unique(np.concatenate(acc_lo + [np.array([a, b])]))
     error = float(err_total) if np.ndim(err_total) == 0 else err_total
-    return QuadResult(value=total, error=error, converged=not forced, edges=edges)
+    return QuadResult(value=total, error=error, converged=not forced)
 
 
 def richardson_sweep(values):

@@ -1,27 +1,27 @@
 """Stieltjes transforms of line measures, the boundary-value inversion, and
 the vanishing detector built on it.
 
-The inversion integrates -Im F(x + iy)/pi over [a, b] for a geometric ladder
-of heights y and removes the leading O(y) term with one first-order
-Richardson sweep.  For an atomic measure the level values follow an arctan
-law whose linear term the sweep kills exactly, leaving O(y^3); density pieces
-contribute O(y^2) after the sweep.  Refinement boxes found at one level seed
-the next, so the sharpening Poisson peaks are never lost by the adaptive
-subdivision.  A complex measure is inverted through the stack of its non-zero
-real and imaginary parts, so both share one adaptive pass.
+The inversion takes the levels I(y) = -(1/pi) int_a^b Im F(x + iy) dx on a
+geometric ladder of heights y and removes the leading O(y) term with one
+first-order Richardson sweep.  For an atomic measure the levels follow an
+arctan law whose linear term the sweep kills exactly, leaving O(y^3);
+density pieces contribute O(y^2) after the sweep.  The levels themselves are
+exact: F is the derivative of the log-potential G(z) = int log(z - t) dnu(t),
+so I(y) is a difference of Im G/pi at a + iy and b + iy, and G of an atom or
+a polynomial density piece has a closed form.  Re nu and Im nu are inverted
+apart, each as a real measure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .measures import RealLineMeasure, interval_mass_exact
-from .quadrature import integrate_adaptive, richardson_sweep
+from .quadrature import richardson_sweep
 
 TOL_SUPPORT = 1e-9
-TOL_QUAD = 1e-9
 TOL_CONVERGED = 1e-4
 # vanishing_detector: subintervals inverted, the sub-mass tolerance, and the
 # x-grid, starting height, levels and decay tolerance of its continuity probe
@@ -35,6 +35,16 @@ CONTINUITY_TOL = 1e-2
 
 class SingularPointError(ValueError):
     """Evaluation point is on (or numerically at) the support of the measure."""
+
+
+def _midpoint_coeffs(coeffs, m: float, h: float) -> list[complex]:
+    """Coefficients of A(v) = p(m + h v) for p(t) = sum coeffs[k] t**k."""
+    c = [complex(x) for x in coeffs]
+    a = c[-1:]
+    for ck in reversed(c[:-1]):  # Horner in polynomials
+        a = [m * x + h * y for x, y in zip(a + [0j], [0j] + a)]
+        a[0] += ck
+    return a
 
 
 def cauchy_density_integral(coeffs, lo: float, hi: float, z):
@@ -51,11 +61,7 @@ def cauchy_density_integral(coeffs, lo: float, hi: float, z):
     moment series sum_j s**-(j+1) int A(v) v**j dv is summed instead.
     """
     m, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    c = [complex(x) for x in coeffs]
-    a = c[-1:]
-    for ck in reversed(c[:-1]):  # A(v) = p(m + h v) by Horner in polynomials
-        a = [m * x + h * y for x, y in zip(a + [0j], [0j] + a)]
-        a[0] += ck
+    a = _midpoint_coeffs(coeffs, m, h)
     deg = len(a) - 1
     s = (np.asarray(z, dtype=complex) - m) / h
     out = np.empty(s.shape, dtype=complex)
@@ -102,123 +108,84 @@ def transform(nu: RealLineMeasure, z):
 
 @dataclass
 class InversionResult:
-    value: object  # float, or ndarray over the leading axes of F
-    error_estimate: object  # like value
-    converged: bool
-    levels: tuple = field(default_factory=tuple)  # one value per height
-
-
-def _check_inversion_domain(a: float, b: float, y0: float, k_max: int) -> None:
-    if not b > a:
-        raise ValueError("need a < b")
-    if not (y0 > 0 and k_max >= 2):
-        raise ValueError("need y0 > 0 and k_max >= 2")
-
-
-def invert_interval(
-    F,
-    a: float,
-    b: float,
-    y0: float = 0.5,
-    k_max: int = 12,
-) -> InversionResult:
-    """Boundary-value inversion of a Stieltjes transform over [a, b].
-
-    ``F`` maps a complex array to an array of the same shape, as
-    ``lambda z: transform(nu, z)`` does, or to a stack of such arrays (any
-    leading axes), which are inverted together under one subdivision.
-    Computes I(y_k) = -(1/pi) int_a^b Im F(x + i y_k) dx on y_k = y0 * 2^-k,
-    k = 0..k_max, then extrapolates with one first-order Richardson sweep.
-    ``value``, ``error_estimate`` and each of ``levels`` carry the leading
-    axes of ``F``; ``converged`` is one bool for the whole stack.
-    The recovered quantity is the half-sum (nu([a,b)) + nu((a,b]))/2, so an
-    atom exactly at an endpoint contributes half its weight.  A result whose
-    error estimate exceeds ``TOL_CONVERGED``, or with a level whose quadrature
-    did not converge, is flagged, not suppressed.
-    """
-    _check_inversion_domain(a, b, y0, k_max)
-    levels = []
-    edges = None
-    quad_err = 0.0
-    quad_converged = True
-    for k in range(k_max + 1):
-        y = y0 * 2.0**-k
-
-        def integrand(x, _y=y):
-            return F(x + 1j * _y).imag
-
-        res = integrate_adaptive(
-            integrand,
-            a,
-            b,
-            tol=TOL_QUAD,
-            breaks=edges,
-            init_panels=16,
-            collect_edges=True,
-        )
-        levels.append(-np.asarray(res.value, dtype=float) / np.pi)
-        quad_err = res.error
-        quad_converged = quad_converged and res.converged
-        edges = res.edges
-        if edges.size > 512:
-            edges = edges[:: edges.size // 512 + 1]
-
-    swept = richardson_sweep(np.asarray(levels))
-    err = np.abs(swept[-1] - swept[-2]) + quad_err / np.pi
-    return InversionResult(
-        value=_plain(swept[-1]),
-        error_estimate=_plain(err),
-        converged=quad_converged and bool(np.all(err <= TOL_CONVERGED)),
-        levels=tuple(_plain(v) for v in levels),
-    )
-
-
-def _plain(v):
-    """A 0-d array as a Python float; any other array as it is."""
-    return float(v) if np.ndim(v) == 0 else v
-
-
-@dataclass
-class MeasureInversion:
     mass: complex
     error_re: float
     error_im: float
     converged: bool
+    levels: tuple  # one complex level per height
 
 
-def _part_stack(nu: RealLineMeasure):
-    """The rows (0 for Re nu, 1 for Im nu) whose part is not the zero
-    measure, and the transform of their stack, a map from complex ``z`` to
-    an array of shape (rows, *z.shape)."""
-    parts = {i: p for i, p in enumerate((nu.real_part(), nu.imag_part())) if p.atoms or p.pieces}
+def _arg_potential(nu: RealLineMeasure, x, y) -> np.ndarray:
+    """(1/pi) int arg(x + iy - t) d(Re nu)(t), and the same for Im nu, over
+    the broadcast of real arrays ``x`` and ``y > 0``, as an array of shape
+    (2, *shape).
 
-    def F(z):
-        return np.stack([transform(p, z) for p in parts.values()])
-
-    return tuple(parts), F
-
-
-def _invert_stack(rows, F, a: float, b: float, y0: float, k_max: int) -> MeasureInversion:
-    if not rows:  # the zero measure: mass and error are exactly 0
-        _check_inversion_domain(a, b, y0, k_max)
-        return MeasureInversion(0j, 0.0, 0.0, True)
-    res = invert_interval(F, a, b, y0=y0, k_max=k_max)
-    mass, err = [0.0, 0.0], [0.0, 0.0]
-    for j, i in enumerate(rows):
-        mass[i], err[i] = float(res.value[j]), float(res.error_estimate[j])
-    return MeasureInversion(complex(*mass), err[0], err[1], res.converged)
-
-
-def invert_measure(
-    nu: RealLineMeasure, a: float, b: float, y0: float = 0.5, k_max: int = 12
-) -> MeasureInversion:
-    """``invert_interval`` on Re nu and Im nu in one adaptive pass.
-
-    Only the parts that are not the zero measure are integrated; a zero part
-    has mass and error exactly 0.  A part inverted alone gives the same bits
-    as ``invert_interval(lambda z: transform(part, z), ...)``.
+    This is Im G/pi for the log-potential G(z) = int log(z - t) dnu(t) of
+    each part, whose derivative is the transform.  A density piece is taken
+    in its midpoint variable v, where integrating by parts with P' = A gives
+    int A(v) log(s - v) dv = P(1) log(s - 1) - P(-1) log(s + 1)
+    + int P(v)/(s - v) dv over [-1, 1], the last term in closed form.
     """
-    return _invert_stack(*_part_stack(nu), a, b, y0, k_max)
+    x, y = np.broadcast_arrays(x, y)
+    out = np.zeros((2,) + x.shape)
+    for atom in nu.atoms:
+        out += np.multiply.outer([atom.weight.real, atom.weight.imag], np.arctan2(y, x - atom.location))
+    for piece in nu.pieces:
+        m, h = 0.5 * (piece.lo + piece.hi), 0.5 * (piece.hi - piece.lo)
+        s = (x + 1j * y - m) / h
+        for part, coeffs in zip(out, ([c.real for c in piece.coeffs], [c.imag for c in piece.coeffs])):
+            if not any(coeffs):
+                continue
+            a = [c.real for c in _midpoint_coeffs(coeffs, m, h)]
+            p = [0.0] + [c / (k + 1) for k, c in enumerate(a)]  # P' = A, P(0) = 0
+            p_plus, p_minus = sum(p), sum(p[::2]) - sum(p[1::2])  # P(1), P(-1)
+            tail = cauchy_density_integral(p, -1.0, 1.0, s).imag
+            part += h * (p_plus * np.angle(s - 1) - p_minus * np.angle(s + 1) + tail)
+    return out / np.pi
+
+
+def _invert_cuts(nu: RealLineMeasure, cuts, y0: float, k_max: int):
+    """Inversion levels, masses and error estimates of the intervals between
+    consecutive ``cuts``: levels of shape (heights, 2, intervals), masses and
+    errors of shape (2, intervals), row 0 for Re nu and row 1 for Im nu."""
+    cuts = np.asarray(cuts, dtype=float)
+    if not np.all(cuts[1:] > cuts[:-1]):
+        raise ValueError("need a < b")
+    if not (y0 > 0 and k_max >= 2):
+        raise ValueError("need y0 > 0 and k_max >= 2")
+    if not y0 * 2.0**-k_max > 0:
+        raise ValueError("need y0 * 2**-k_max > 0")
+    ys = y0 * 2.0 ** -np.arange(k_max + 1)
+    phi = _arg_potential(nu, cuts, ys[:, None])  # (2, heights, cuts)
+    levels = np.moveaxis(phi[..., :-1] - phi[..., 1:], 1, 0)
+    swept = richardson_sweep(levels)
+    return levels, swept[-1], np.abs(swept[-1] - swept[-2])
+
+
+def invert_interval(
+    nu: RealLineMeasure, a: float, b: float, y0: float = 0.5, k_max: int = 12
+) -> InversionResult:
+    """Boundary-value inversion of the Stieltjes transform of ``nu`` over [a, b].
+
+    Computes the levels I(y_k) = -(1/pi) int_a^b Im F(x + i y_k) dx on
+    y_k = y0 * 2^-k, k = 0..k_max, exactly, as differences of the
+    log-potential at a + i y_k and b + i y_k, then extrapolates with one
+    first-order Richardson sweep.  Re nu and Im nu are inverted apart, so the
+    real and imaginary parts of ``mass`` and ``levels``, and ``error_re`` and
+    ``error_im``, are those of ``invert_interval(nu.real_part(), ...)`` and
+    ``invert_interval(nu.imag_part(), ...)``.  The recovered quantity is the
+    half-sum (nu([a,b)) + nu((a,b]))/2, so an atom exactly at an endpoint
+    contributes half its weight.  A result with an error estimate above
+    ``TOL_CONVERGED`` is flagged, not suppressed.
+    """
+    levels, mass, err = _invert_cuts(nu, [a, b], y0, k_max)
+    return InversionResult(
+        mass=complex(mass[0, 0], mass[1, 0]),
+        error_re=float(err[0, 0]),
+        error_im=float(err[1, 0]),
+        converged=bool(np.all(err <= TOL_CONVERGED)),
+        levels=tuple(complex(re, im) for re, im in levels[..., 0]),
+    )
 
 
 @dataclass
@@ -247,20 +214,20 @@ def vanishing_detector(nu: RealLineMeasure, a: float, b: float) -> DetectorRepor
 
     The detector probes continuity up to the interval (sup over an x-grid of
     |F(x+iy) - F(x+iy/2)| along decreasing y, for the transforms F of Re nu
-    and Im nu) and inverts the measure on a grid of subintervals, both parts
-    in one pass as ``invert_measure`` does.
-    'vanishes' needs all sub-masses below tolerance
-    and decaying continuity indicators; 'does_not_vanish' needs a converged
-    sub-mass above tolerance; everything else is 'inconclusive'.
+    and Im nu) and inverts the measure on a grid of subintervals, as
+    ``invert_interval`` does, from one evaluation of the log-potential at the
+    cuts.  'vanishes' needs all sub-masses below tolerance and decaying
+    continuity indicators; 'does_not_vanish' needs a sub-mass m above
+    tolerance whose error estimate e (Re plus Im) is below 0.5 |m|;
+    everything else is 'inconclusive'.
     """
-    rows, F = _part_stack(nu)
     xs = np.linspace(a, b, DETECT_N_X)
     ys = DETECT_Y0 * 2.0 ** -np.arange(CONTINUITY_LEVELS + 1)
-    sups = np.zeros((2, CONTINUITY_LEVELS))  # a zero part's transform is 0
-    if rows:
-        vals = F(xs + 1j * ys[:, None])  # (rows, heights, x)
-        sups[list(rows)] = np.abs(vals[:, :-1] - vals[:, 1:]).max(axis=-1)
-    cont_re, cont_im = (tuple(map(float, s)) for s in sups)
+    grid = xs + 1j * ys[:, None]
+    cont_re, cont_im = (
+        tuple(map(float, np.abs(vals[:-1] - vals[1:]).max(axis=-1)))
+        for vals in (transform(nu.real_part(), grid), transform(nu.imag_part(), grid))
+    )
 
     def decayed(seq):
         return seq[-1] <= max(CONTINUITY_TOL, 0.5 * seq[0] + 1e-12)
@@ -268,12 +235,9 @@ def vanishing_detector(nu: RealLineMeasure, a: float, b: float) -> DetectorRepor
     blowup = not (decayed(cont_re) and decayed(cont_im))
 
     cuts = np.linspace(a, b, DETECT_SUBINTERVALS + 1)
-    masses = []
-    errors = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        inv = _invert_stack(rows, F, lo, hi, y0=DETECT_Y0, k_max=12)
-        masses.append(inv.mass)
-        errors.append(inv.error_re + inv.error_im)
+    _, mass, err = _invert_cuts(nu, cuts, DETECT_Y0, 12)
+    masses = [complex(re, im) for re, im in mass.T]
+    errors = (err[0] + err[1]).tolist()
 
     exceeding = [
         (m, e)

@@ -1,8 +1,9 @@
 """Numerics the tests use as independent oracles: iterated Richardson
-extrapolation and Gauss-Legendre segment and rectangle contour sums.
+extrapolation, Gauss-Legendre segment and rectangle contour sums, and
+Stieltjes inversion levels by adaptive quadrature of the transform.
 
 Nothing in the package calls these; ``pole_probe`` has its own batched
-contour rule.
+contour rule, and the inversion computes its levels in closed form.
 """
 
 from __future__ import annotations
@@ -68,3 +69,27 @@ def rectangle_contour_sum(
         segment_sum(f, corners[k], corners[k + 1], nodes=nodes, panels=panels)
         for k in range(4)
     )
+
+
+def adaptive_levels(nu, a: float, b: float, ys, tol: float = 1e-12) -> np.ndarray:
+    """Inversion levels -(1/pi) int_a^b Im F(x + iy) dx, for the transforms F
+    of Re nu (real part) and Im nu (imaginary part), one complex value per
+    height in ``ys``, by adaptive Gauss-Kronrod quadrature of the transform.
+
+    [a, b] is split at the atoms and piece edges inside it, so each Poisson
+    peak and density edge sits at the end of a segment.
+    """
+    from rankone_gap import transform
+    from rankone_gap.quadrature import integrate_adaptive
+
+    parts = (nu.real_part(), nu.imag_part())
+    marks = [t.location for t in nu.atoms] + [e for p in nu.pieces for e in (p.lo, p.hi)]
+    cuts = sorted({a, b, *(t for t in marks if a < t < b)})
+    out = []
+    for y in ys:
+        def integrand(x, _y=y):
+            return np.stack([transform(p, x + 1j * _y).imag for p in parts])
+
+        total = sum(integrate_adaptive(integrand, lo, hi, tol=tol).value for lo, hi in zip(cuts[:-1], cuts[1:]))
+        out.append(complex(*(-total / np.pi)))
+    return np.array(out)

@@ -19,7 +19,7 @@ from rankone_gap import (
     evaluate,
     half_weighted_mass,
     halfopen_grid,
-    invert_measure,
+    invert_interval,
     laplace_closed,
     minimal_ktypes,
     nonvanishing_scan,
@@ -154,7 +154,7 @@ def test_criterion_5_stieltjes_roundtrip():
     endpoint_worst = 0.0
     for idx, (nu, a, b) in enumerate(corpus):
         expected = half_weighted_mass(nu, a, b)
-        recovered = invert_measure(nu, a, b, y0=0.5, k_max=12).mass
+        recovered = invert_interval(nu, a, b, y0=0.5, k_max=12).mass
         err = abs(recovered - expected)
         worst = max(worst, err)
         has_endpoint_atom = any(at.location in (a, b) for at in nu.atoms)

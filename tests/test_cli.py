@@ -229,7 +229,7 @@ class TestInputErrors:
         def fail(*args, **kwargs):
             raise QuadratureError("panel budget exhausted")
 
-        monkeypatch.setattr(cli, "invert_measure", fail)
+        monkeypatch.setattr(cli, "invert_interval", fail)
         monkeypatch.setattr(cli, "vanishing_detector", fail)
         path = tmp_path / "measure.json"
         path.write_text(json.dumps(RealLineMeasure(atoms=((0.5, 1.0),)).to_json()))
@@ -486,9 +486,9 @@ def test_model_bytes_unchanged(case, tmp_path):
     ``stieltjes transform/invert/detect`` on untempered models and on measures
     without zero parts, byte for byte, as the CLI printed them while the
     verdict still took a list of (sigma, measure) pairs (commit 01c151c).
-    The three complex-measure inverts and the two detects were recaptured
-    when a measure's real and imaginary parts began to share one adaptive
-    pass.  Each case carries its input document."""
+    The four inverts and three detects were recaptured when the inversion
+    levels became closed forms; they moved in their last digits.  Each case
+    carries its input document."""
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(case["document"]))
     argv = with_doc(case["argv"], str(path))
@@ -578,8 +578,7 @@ class TestZeroParts:
 
 
 class TestEmptyMeasureInversion:
-    """The zero measure is not integrated, but its inversion keeps the
-    domain checks and prints exact zeros."""
+    """The zero measure inverts to exact zeros and keeps the domain checks."""
 
     @pytest.mark.parametrize("extra, line", [
         (["--a", "0", "--b", "1", "--y0", "0"], "error: need y0 > 0 and k_max >= 2\n"),

@@ -71,40 +71,14 @@ class TestAdaptive:
         def f(x):
             return 1e-3 / ((x - 0.3) ** 2 + 1e-6) + np.sin(7 * x)
 
-        breaks = [0.2, 0.3, 0.3, 0.35]
-        flat = integrate_adaptive(f, -1.0, 1.0, breaks=breaks, collect_edges=True)
-        row = integrate_adaptive(lambda x: f(x)[None], -1.0, 1.0, breaks=breaks, collect_edges=True)
+        flat = integrate_adaptive(f, -1.0, 1.0)
+        row = integrate_adaptive(lambda x: f(x)[None], -1.0, 1.0)
         assert row.value[0] == flat.value and row.error[0] == flat.error
         assert type(flat.error) is float
-        assert np.array_equal(row.edges, flat.edges)
-
-    def test_breaks_seed_sorted_distinct_interior_points(self):
-        # a zero integrand accepts every initial panel, so the edges are the seed
-        res = integrate_adaptive(
-            lambda x: 0 * x, 0.0, 1.0, breaks=[0.5, 0.2, 0.5, -1.0, 0.0, 1.0, 2.0, 0.7, math.nan],
-            collect_edges=True,
-        )
-        assert res.edges.tolist() == [0.0, 0.2, 0.5, 0.7, 1.0]
 
     def test_complex_values(self):
         res = integrate_adaptive(lambda x: np.exp(1j * x), 0.0, np.pi, tol=1e-12)
         assert res.value == pytest.approx(2j, abs=1e-12)
-
-    def test_breaks_seed_refinement(self):
-        y = 1e-5
-        res = integrate_adaptive(
-            lambda x: y / ((x - 0.123456) ** 2 + y**2),
-            0.0,
-            1.0,
-            tol=1e-9,
-            breaks=[0.123456 - y, 0.123456, 0.123456 + y],
-        )
-        exact = math.atan((1 - 0.123456) / y) + math.atan(0.123456 / y)
-        assert abs(res.value - exact) < 1e-7
-
-    def test_collects_edges(self):
-        res = integrate_adaptive(np.exp, 0.0, 1.0, tol=1e-9, collect_edges=True)
-        assert res.edges[0] == 0.0 and res.edges[-1] == 1.0
 
     def test_bad_interval(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -9,13 +10,14 @@ from rankone_gap import (
     SingularPointError,
     half_weighted_mass,
     invert_interval,
-    invert_measure,
     is_zero_by_interval_family,
     transform,
     vanishing_detector,
 )
 
-from oracle_numerics import rectangle_contour_sum
+from rankone_gap.stieltjes import TOL_CONVERGED
+
+from oracle_numerics import adaptive_levels, rectangle_contour_sum
 
 ATOM0 = RealLineMeasure(atoms=((0.0, 1.0),))
 UNIFORM01 = RealLineMeasure(pieces=((0.0, 1.0, (1.0,)),))
@@ -147,30 +149,30 @@ class TestTransform:
 
 class TestInvertInterval:
     def test_interior_atom(self):
-        res = invert_interval(lambda z: transform(ATOM0, z), -1.0, 1.0)
+        res = invert_interval(ATOM0, -1.0, 1.0)
         assert res.converged
-        assert res.value == pytest.approx(1.0, abs=1e-6)
+        assert res.mass.real == pytest.approx(1.0, abs=1e-6)
         # finite-height values follow the arctan law
         y0 = 0.5
-        assert res.levels[0] == pytest.approx((2 / math.pi) * math.atan(1 / y0), rel=1e-9)
+        assert res.levels[0].real == pytest.approx((2 / math.pi) * math.atan(1 / y0), rel=1e-9)
 
     def test_uniform_subinterval(self):
-        res = invert_interval(lambda z: transform(UNIFORM01, z), 0.2, 0.5)
+        res = invert_interval(UNIFORM01, 0.2, 0.5)
         assert res.converged
-        assert res.value == pytest.approx(0.3, abs=1e-6)
+        assert res.mass.real == pytest.approx(0.3, abs=1e-6)
 
     def test_atom_at_left_endpoint_half_mass(self):
-        res = invert_interval(lambda z: transform(ATOM0, z), 0.0, 1.0)
-        assert res.value == pytest.approx(0.5, abs=1e-6)
+        res = invert_interval(ATOM0, 0.0, 1.0)
+        assert res.mass.real == pytest.approx(0.5, abs=1e-6)
 
     def test_linearity(self):
         nu1 = RealLineMeasure(atoms=((0.4, 0.8),))
         nu2 = RealLineMeasure(pieces=((0.0, 1.0, (1.0,)),))
-        r1 = invert_interval(lambda z: transform(nu1, z), 0.1, 0.9)
-        r2 = invert_interval(lambda z: transform(nu2, z), 0.1, 0.9)
-        r12 = invert_interval(lambda z: transform(nu1 + nu2, z), 0.1, 0.9)
-        budget = r1.error_estimate + r2.error_estimate + r12.error_estimate + 1e-9
-        assert abs(r12.value - (r1.value + r2.value)) <= budget
+        r1 = invert_interval(nu1, 0.1, 0.9)
+        r2 = invert_interval(nu2, 0.1, 0.9)
+        r12 = invert_interval(nu1 + nu2, 0.1, 0.9)
+        budget = r1.error_re + r2.error_re + r12.error_re + 1e-9
+        assert abs(r12.mass - (r1.mass + r2.mass)) <= budget
 
     @pytest.mark.parametrize("y0, k_max", [(0.0, 12), (-1.0, 12), (math.nan, 12), (0.5, 1)])
     def test_domain(self, y0, k_max):
@@ -178,7 +180,7 @@ class TestInvertInterval:
         # leaves one extrapolated value and no error estimate
         atom = RealLineMeasure(atoms=((0.3, 1.0),))
         with pytest.raises(ValueError, match="y0 > 0 and k_max >= 2"):
-            invert_interval(lambda z: transform(atom, z), 0.0, 1.0, y0=y0, k_max=k_max)
+            invert_interval(atom, 0.0, 1.0, y0=y0, k_max=k_max)
 
     def test_error_estimate_honest_on_corpus(self):
         cases = [
@@ -187,45 +189,58 @@ class TestInvertInterval:
             (RealLineMeasure(atoms=((0.25, -0.5), (0.7, 2.0))), 0.0, 1.0),
         ]
         for nu, a, b in cases:
-            res = invert_interval(lambda z: transform(nu, z), a, b)
+            res = invert_interval(nu, a, b)
             truth = half_weighted_mass(nu, a, b).real
-            assert abs(res.value - truth) <= max(res.error_estimate * 10, 1e-7)
+            assert abs(res.mass.real - truth) <= max(res.error_re * 10, 1e-7)
+
+    @pytest.mark.parametrize("y0, k_max", [(1e-320, 12), (0.5, 1100), (0.5, 10**9)])
+    def test_heights_must_not_underflow(self, y0, k_max):
+        # a zero height puts the levels on the support; a huge k_max would
+        # also ask for k_max + 1 heights
+        with pytest.raises(ValueError, match=r"y0 \* 2\*\*-k_max > 0"):
+            invert_interval(ATOM0, -1.0, 1.0, y0=y0, k_max=k_max)
+
+    def test_degree16_density_is_fast_and_honest(self):
+        # an unscaled degree-16 density reaches |p| ~ 4**16; adaptive levels
+        # could not reach their absolute tolerance there, while the closed form
+        # takes about a millisecond.  The absolute TOL_CONVERGED flags these
+        # results, and each part's estimate still covers its actual error.
+        t0 = time.perf_counter()
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            d = 3 + seed % 2
+            lo, hi = d / 2, float(d)
+            coeffs = np.round(rng.uniform(-1, 1, 17), 4) + 1j * np.round(rng.uniform(-1, 1, 17), 4)
+            nu = RealLineMeasure(pieces=((lo, hi, tuple(coeffs)),))
+            a = float(rng.uniform(lo - 0.2, lo + 0.3 * (hi - lo)))
+            b = float(rng.uniform(hi - 0.3 * (hi - lo), hi + 0.2))
+            res = invert_interval(nu, a, b)
+            truth = half_weighted_mass(nu, a, b)
+            assert res.error_re >= abs(res.mass.real - truth.real)
+            assert res.error_im >= abs(res.mass.imag - truth.imag)
+            assert res.converged is (max(res.error_re, res.error_im) <= TOL_CONVERGED)
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestInvertMeasure:
-    @staticmethod
-    def separate(part, a, b, **kw):
-        return invert_interval(lambda z: transform(part, z), a, b, **kw)
-
-    def test_one_row_stack_keeps_bits(self):
-        nu = RealLineMeasure(atoms=((0.25, -0.5), (0.7, 2.0)), pieces=((0.1, 0.9, (1.0, 0.5)),))
-        one = self.separate(nu, 0.0, 1.0)
-        stacked = invert_interval(lambda z: transform(nu, z)[None], 0.0, 1.0)
-        assert stacked.value.shape == stacked.error_estimate.shape == (1,)
-        assert stacked.value[0] == one.value
-        assert stacked.error_estimate[0] == one.error_estimate
-        assert [lv[0] for lv in stacked.levels] == list(one.levels)
-        assert stacked.converged is one.converged is True
-
     @pytest.mark.parametrize("k_max", [12, 5])
     def test_real_only_and_imaginary_only_match_separate(self, k_max):
+        # Re nu and Im nu are inverted apart: each part of a complex measure's
+        # result is, bit for bit, the inversion of that part alone
         for nu, a, b in [
-            (RealLineMeasure(atoms=((0.3, 0.7), (0.0, -1.0))), 0.0, 1.0),
-            (RealLineMeasure(pieces=((0.0, 1.0, (0.5, 1.0)),)), 0.2, 0.8),
+            (RealLineMeasure(atoms=((0.3, 0.7 - 0.2j), (0.0, -1.0)), pieces=((0.1, 0.9, (1.0j, 0.5)),)), 0.0, 1.0),
+            (RealLineMeasure(pieces=((0.0, 1.0, (0.5 + 1.0j, 1.0)), (0.4, 0.6, (2.0,)))), 0.2, 0.8),
+            (RealLineMeasure(atoms=((0.5, 1.0j),)), 0.0, 1.0),
         ]:
-            imag = RealLineMeasure(
-                atoms=tuple((t.location, 1j * t.weight) for t in nu.atoms),
-                pieces=tuple((p.lo, p.hi, tuple(1j * c for c in p.coeffs)) for p in nu.pieces),
-            )
-            ref = self.separate(nu, a, b, y0=0.25, k_max=k_max)
-            got = invert_measure(nu, a, b, y0=0.25, k_max=k_max)
-            assert (got.mass.real, got.error_re, got.converged) == (
-                ref.value, ref.error_estimate, ref.converged)
-            assert (got.mass.imag, got.error_im) == (0.0, 0.0)
-            got = invert_measure(imag, a, b, y0=0.25, k_max=k_max)
-            assert (got.mass.imag, got.error_im, got.converged) == (
-                ref.value, ref.error_estimate, ref.converged)
-            assert (got.mass.real, got.error_re) == (0.0, 0.0)
+            got = invert_interval(nu, a, b, y0=0.25, k_max=k_max)
+            re = invert_interval(nu.real_part(), a, b, y0=0.25, k_max=k_max)
+            im = invert_interval(nu.imag_part(), a, b, y0=0.25, k_max=k_max)
+            assert (got.mass.real, got.error_re) == (re.mass.real, re.error_re)
+            assert (got.mass.imag, got.error_im) == (im.mass.real, im.error_re)
+            assert [v.real for v in got.levels] == [v.real for v in re.levels]
+            assert [v.imag for v in got.levels] == [v.real for v in im.levels]
+            assert (re.mass.imag, re.error_im, im.mass.imag, im.error_im) == (0.0,) * 4
+            assert got.converged is (re.converged and im.converged)
 
     @pytest.mark.parametrize("nu, a, b", [
         (RealLineMeasure(atoms=((0.5, 1.0j),)), 0.0, 1.0),
@@ -234,29 +249,16 @@ class TestInvertMeasure:
         (RealLineMeasure(atoms=((0.3, 1.0j),), pieces=((0.0, 1.0, (0.0, 1.0)),)), 0.1, 0.8),
     ])
     def test_complex_measures_recover_half_weighted_mass(self, nu, a, b):
-        got = invert_measure(nu, a, b)
+        got = invert_interval(nu, a, b)
         assert got.converged
         assert abs(got.mass - half_weighted_mass(nu, a, b)) <= 1e-3
-        # each part's error is its own, not the stack's worst
-        re = self.separate(nu.real_part(), a, b)
-        im = self.separate(nu.imag_part(), a, b)
-        assert abs(got.mass.real - re.value) <= got.error_re + re.error_estimate
-        assert abs(got.mass.imag - im.value) <= got.error_im + im.error_estimate
 
     def test_stacked_converged_is_a_bool(self):
+        # one flag for both parts of a complex measure
         nu = RealLineMeasure(atoms=((0.5, 1.0 + 2.0j),))
-        res = invert_interval(
-            lambda z: np.stack([transform(nu.real_part(), z), transform(nu.imag_part(), z)]),
-            0.0, 1.0,
-        )
-        assert res.value.shape == (2,) and type(res.converged) is bool and res.converged
-
-    def test_zero_measure_is_not_integrated(self, monkeypatch):
-        import rankone_gap.stieltjes as stj
-
-        monkeypatch.setattr(stj, "integrate_adaptive", None)  # any call would fail
-        got = invert_measure(RealLineMeasure(), 0.0, 1.0)
-        assert (got.mass, got.error_re, got.error_im, got.converged) == (0j, 0.0, 0.0, True)
+        res = invert_interval(nu, 0.0, 1.0)
+        assert type(res.mass) is complex and type(res.converged) is bool and res.converged
+        assert type(res.error_re) is type(res.error_im) is float
 
     @pytest.mark.parametrize("a, b, y0, k_max, message", [
         (0.0, 1.0, 0.0, 12, "y0 > 0 and k_max >= 2"),
@@ -266,27 +268,61 @@ class TestInvertMeasure:
     def test_zero_measure_keeps_domain_checks(self, a, b, y0, k_max, message):
         for nu in (RealLineMeasure(), RealLineMeasure(atoms=((0.5, 1.0j),))):
             with pytest.raises(ValueError, match=message):
-                invert_measure(nu, a, b, y0=y0, k_max=k_max)
+                invert_interval(nu, a, b, y0=y0, k_max=k_max)
 
-    def test_level_not_converged_is_reported(self, monkeypatch):
-        import rankone_gap.stieltjes as stj
 
-        calls = []
+def random_measure(rng, cplx: bool) -> RealLineMeasure:
+    """0-2 atoms and 1-2 density pieces of degree 0-8 on [-0.5, 1.5]."""
+    def weight():
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1) if cplx else 0.0)
 
-        def one_level_forced(*args, **kwargs):
-            res = integrate_adaptive(*args, **kwargs)
-            calls.append(res.converged)
-            if len(calls) % 13 == 5:  # the fifth of the 13 levels
-                res.converged = False
-            return res
+    atoms = tuple((float(np.round(rng.uniform(-0.2, 1.2), 3)), weight()) for _ in range(rng.integers(0, 3)))
+    pieces = []
+    for _ in range(rng.integers(1, 3)):
+        lo = float(rng.uniform(-0.5, 0.5))
+        hi = lo + float(rng.uniform(0.2, 1.0))
+        pieces.append((lo, hi, tuple(weight() for _ in range(rng.integers(1, 10)))))
+    return RealLineMeasure(atoms=tuple(dict(atoms).items()), pieces=tuple(pieces))
 
-        integrate_adaptive = stj.integrate_adaptive
-        monkeypatch.setattr(stj, "integrate_adaptive", one_level_forced)
-        res = invert_interval(lambda z: transform(ATOM0, z), -1.0, 1.0)
-        assert all(calls) and len(calls) == 13
-        assert res.converged is False
-        assert res.error_estimate <= 1e-6  # the error alone would pass
-        assert invert_measure(ATOM0, -1.0, 1.0).converged is False
+
+class TestClosedFormLevels:
+    """The closed-form levels against adaptive quadrature of the transform
+    and against 40-digit mpmath."""
+
+    def test_match_adaptive_levels(self):
+        rng = np.random.default_rng(16)
+        ys = 0.5 * 2.0 ** -np.arange(13)
+        for i in range(16):
+            nu = random_measure(rng, cplx=i % 2 == 1)
+            a = float(rng.uniform(-0.6, 0.6))
+            b = a + float(rng.uniform(0.1, 1.0))
+            res = invert_interval(nu, a, b)
+            ref = adaptive_levels(nu, a, b, ys)
+            assert np.max(np.abs(np.array(res.levels) - ref)) <= 1e-11, i
+
+    def test_smallest_height_matches_mpmath(self):
+        # I(y) = int K(t) dnu(t) with the integrated Poisson kernel
+        # K(t) = (1/pi) int_a^b y / ((x - t)^2 + y^2) dx, in 40 digits; the
+        # quadrature over each piece is split where K changes on the scale y
+        nu = RealLineMeasure(
+            atoms=((0.3, 0.8 - 0.4j), (0.9, -0.5)),
+            pieces=((0.0, 0.6, (1.0, -2.0, 0.5j, 3.0)), (0.5, 1.0, (0.25, 1.0))),
+        )
+        a, b = 0.1, 0.95
+        y = 0.5 * 2.0**-12
+        got = invert_interval(nu, a, b).levels[-1]
+        with mpmath.workdps(40):
+            def kernel(t):
+                return (mpmath.atan2(y, a - t) - mpmath.atan2(y, b - t)) / mpmath.pi
+
+            want = sum(mpmath.mpc(atom.weight) * kernel(mpmath.mpf(atom.location)) for atom in nu.atoms)
+            for p in nu.pieces:
+                near = (e + k * y for e in (a, b) for k in (-8, 0, 8))
+                cuts = sorted({p.lo, p.hi, *(t for t in near if p.lo < t < p.hi)})
+                coeffs = [mpmath.mpc(c) for c in reversed(p.coeffs)]
+                want += mpmath.quad(lambda t: mpmath.polyval(coeffs, t) * kernel(t), cuts)
+            want = complex(want)
+        assert abs(got - want) <= 1e-14
 
 
 class TestVanishingDetector:
@@ -317,7 +353,7 @@ class TestVanishingDetector:
         report = vanishing_detector(nu, 0.0, 1.0)
         cuts = np.linspace(0.0, 1.0, len(report.sub_masses) + 1)
         for m, e, lo, hi in zip(report.sub_masses, report.sub_errors, cuts[:-1], cuts[1:]):
-            inv = invert_measure(nu, lo, hi)
+            inv = invert_interval(nu, lo, hi)
             assert (m, e) == (inv.mass, inv.error_re + inv.error_im)
 
     def test_continuity_probe_matches_pointwise_gaps(self):
