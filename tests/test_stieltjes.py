@@ -223,6 +223,17 @@ class TestInvertInterval:
 
 
 class TestInvertMeasure:
+    def test_one_row_stack_keeps_bits(self):
+        # the detector inverts all its subintervals as one stack of cuts;
+        # each column is, bit for bit, that subinterval inverted alone
+        nu = RealLineMeasure(atoms=((0.25, -0.5 + 0.3j), (0.7, 2.0)), pieces=((0.1, 0.9, (1.0, 0.5j)),))
+        report = vanishing_detector(nu, 0.0, 1.0)
+        cuts = np.linspace(0.0, 1.0, len(report.sub_masses) + 1)
+        for j, (m, e) in enumerate(zip(report.sub_masses, report.sub_errors)):
+            one = invert_interval(nu, cuts[j], cuts[j + 1])
+            assert m == one.mass
+            assert e == one.error_re + one.error_im
+
     @pytest.mark.parametrize("k_max", [12, 5])
     def test_real_only_and_imaginary_only_match_separate(self, k_max):
         # Re nu and Im nu are inverted apart: each part of a complex measure's
