@@ -7,12 +7,12 @@ plus a tempered background amplitude.  The correlation function is
     f(t) = sum_channels int exp(-(d-s)t) c(s) dm(s)
            + R (1+t) exp(-(d/2)t) cos(t),
 
-the oscillatory factor keeping tests honest about the absence of positivity.
-Its Laplace transform F(z) = int_0^inf exp(-(z+delta-d)t) f(t) dt is computed
-two ways: truncated quadrature with an analytic tail bound, and the closed
-channel sum  B(z) = sum int c(s)/(z+delta-s) dm(s)  whose only pole in the
-probe strip, after subtracting the mass at delta, would come from spectral
-mass strictly below delta.
+the oscillatory factor keeping tests honest about the absence of positivity;
+f is a closed form.  Its Laplace transform F(z) = int_0^inf exp(-(z+delta-d)t)
+f(t) dt is computed two ways: the module's one quadrature, in t, with an
+analytic tail bound, and the closed channel sum  B(z) = sum int c(s)/(z+delta-s)
+dm(s)  whose only pole in the probe strip, after subtracting the mass at
+delta, would come from spectral mass strictly below delta.
 
 Every channel quantity (the correlation, the tail bound, the closed sum and
 the residue at z = 0) reads one measure, the pushforward
@@ -30,7 +30,7 @@ import numpy as np
 from .gaps import continuation_width, parameter_interval
 from .measures import Atom, DensityPiece, RealLineMeasure, interval_mass
 from .quadrature import integrate_adaptive
-from .stieltjes import transform
+from .stieltjes import _midpoint_coeffs, _moments, transform
 from .weights import HighestWeight
 from .wire import as_objects, complex_list, integer, real
 
@@ -127,10 +127,35 @@ def remainder_term(model: SpectralModel, t):
     return model.tempered_amplitude * (1 + t) * np.exp(-0.5 * model.d * t) * np.cos(t)
 
 
+def _damped_integral(a, tau):
+    """E(tau) = int_{-1}^{1} A(v) exp(tau (v - 1)) dv, A(v) = sum a[k] v**k, over a
+    real array ``tau >= 0``.  Up to deg + 8: moments int A(v) v**n dv summed point by
+    point in Poisson weights exp(-tau) tau**n / n!, n < T + 9 sqrt(T) + 27 for the
+    largest such tau T (Bernstein: the rest weigh < e**-40).  Above: exp(tau (v - 1))
+    has moments E_k = (1 - (-1)**k exp(-2 tau) - k E_{k-1}) / tau, damping errors by k / tau < 1."""
+    out, cap = np.zeros(tau.shape, dtype=complex), len(a) + 7
+    x = tau[tau <= cap]
+    top = x.max(initial=0.0)
+    mu = _moments(a, math.ceil(top + 9 * math.sqrt(top) + 27))
+    w = np.exp(-x)
+    acc = w * mu[0]
+    for n in range(1, len(mu)):
+        w = w * (x / n)
+        acc += w * mu[n]
+    out[tau <= cap] = acc
+    x, e, acc = tau[tau > cap], 0.0, 0j
+    for k, ak in enumerate(a):
+        e = (1 - (-1) ** k * np.exp(-2 * x) - k * e) / x
+        acc = acc + ak * e
+    out[tau > cap] = acc
+    return out
+
+
 def correlation(model: SpectralModel, t):
     """Correlation value f(t), elementwise over an array ``t >= 0`` of any
     shape, with the result in that shape; a scalar or 0-d ``t`` gives a numpy
-    complex scalar.  Each density piece is one quadrature for all of ``t``."""
+    complex scalar.  Every term is a closed form summed point by point: a
+    density piece on [hi - 2h, hi] adds h exp(-(d - hi) t) E(ht) (``_damped_integral``)."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("correlation is defined for t >= 0")
@@ -140,10 +165,9 @@ def correlation(model: SpectralModel, t):
     for atom in nu.atoms:
         out += atom.weight * np.exp(-(d - atom.location) * t)
     for piece in nu.pieces:
-        def integrand(s, _p=piece):
-            return _p(s) * np.exp(-(d - s) * t[..., None])
-
-        out += integrate_adaptive(integrand, piece.lo, piece.hi, tol=TOL_QUAD).value
+        h = 0.5 * (piece.hi - piece.lo)
+        a = _midpoint_coeffs(piece.coeffs, 0.5 * (piece.lo + piece.hi), h)
+        out += h * np.exp(-(d - piece.hi) * t) * _damped_integral(a, h * t)
     out += remainder_term(model, t)
     return out[()]
 
@@ -191,18 +215,18 @@ def laplace_numeric(model: SpectralModel, z, t_max: float = 80.0) -> LaplaceResu
     serves all of it, and both fields of the result take its shape.  Requires
     Re z to the right of the pushforward measure's sup-support minus delta
     (and of d/2 - delta when the tempered term is present) so the discarded
-    tail admits the reported bound.
+    tail admits the reported bound, which includes the quadrature tolerance.
     """
     if not t_max > 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
     z = np.asarray(z, dtype=complex)
-    bound = truncation_bound(model, z, t_max) + TOL_QUAD
+    # the rounding floor of an integrand of modulus up to about size over [0, t_max]
+    size = pushforward_measure(model).total_variation_bound() + model.tempered_amplitude
+    tol = max(TOL_QUAD, math.ulp(1.0) * size * t_max)
+    bound = truncation_bound(model, z, t_max) + tol
     exponent = z + model.delta - model.d
-
-    def integrand(t):
-        return correlation(model, t) * np.exp(-exponent[..., None] * t)
-
-    res = integrate_adaptive(integrand, 0.0, t_max, tol=TOL_QUAD, init_panels=32)
+    res = integrate_adaptive(
+        lambda t: correlation(model, t) * np.exp(-exponent[..., None] * t), 0.0, t_max, tol=tol)
     return LaplaceResult(res.value, bound)
 
 

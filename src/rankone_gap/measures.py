@@ -47,9 +47,6 @@ class DensityPiece:
             raise ValueError("density intervals must be bounded")
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
 
-    def __call__(self, t):
-        return np.polynomial.polynomial.polyval(t, np.asarray(self.coeffs))
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 

@@ -1,12 +1,12 @@
 """Shared numerical kernels: adaptive Gauss-Kronrod quadrature and one
 first-order Richardson sweep.
 
-The quadrature serves the Laplace layer, where one subdivision integrates a
-whole batch of t or z points: integrands receive a flat array of abscissae
-and may return either a matching array or a stack of component rows (any
-leading axes).  Panels are processed breadth-first, one numpy call per
-generation, so the Python cost grows with the depth of the subdivision, not
-with the number of panels.
+The quadrature serves the Laplace layer, where one subdivision in t
+integrates a whole batch of z points: integrands receive a flat array of
+abscissae and may return either a matching array or a stack of component
+rows (any leading axes).  Panels are processed breadth-first, one numpy call
+per generation, so the Python cost grows with the depth of the subdivision,
+not with the number of panels.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ KRONROD_WEIGHTS = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
 _GW = np.zeros(15)
 _GW[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 GAUSS_WEIGHTS = _GW
+INIT_PANELS = 32
 
 
 class QuadratureError(RuntimeError):
@@ -74,7 +75,6 @@ def integrate_adaptive(
     a: float,
     b: float,
     tol: float = 1e-9,
-    init_panels: int = 8,
 ) -> QuadResult:
     """Adaptively integrate ``f`` over [a, b] to absolute tolerance ``tol``.
 
@@ -83,7 +83,7 @@ def integrate_adaptive(
     panel acceptance driven by the worst component.  ``error`` is then per
     component: the sum of |K15 - G7| over the accepted panels, which is
     exactly 0 for a component that is identically 0.  [a, b] is first split
-    uniformly into ``init_panels`` panels.
+    uniformly into ``INIT_PANELS`` panels.
     Local acceptance uses the standard width-proportional budget
     ``tol * (hi - lo) / (b - a)`` so accepted-panel errors sum below ``tol``.
     Panels 2**-48 of the interval wide are accepted as they stand (the result
@@ -93,7 +93,7 @@ def integrate_adaptive(
     if not b > a:
         raise ValueError("integration interval must satisfy a < b")
     width = b - a
-    pts = np.linspace(a, b, max(2, init_panels + 1))
+    pts = np.linspace(a, b, INIT_PANELS + 1)
     lo = pts[:-1].copy()
     hi = pts[1:].copy()
 

@@ -47,6 +47,12 @@ def _midpoint_coeffs(coeffs, m: float, h: float) -> list[complex]:
     return a
 
 
+def _moments(a, count: int):
+    """int_{-1}^{1} A(v) v**j dv for j < ``count``, A(v) = sum a[k] v**k."""
+    jk = np.add.outer(np.arange(count), np.arange(len(a)))
+    return np.where(jk % 2 == 0, 2.0 / (jk + 1), 0.0) @ np.asarray(a)
+
+
 def cauchy_density_integral(coeffs, lo: float, hi: float, z):
     """int p(t)/(z - t) dt over [lo, hi] for p(t) = sum coeffs[k] t**k, in
     closed form, for an array ``z`` off the segment.
@@ -69,9 +75,7 @@ def cauchy_density_integral(coeffs, lo: float, hi: float, z):
     radius = 2.0 ** (10 / deg) if deg > 0 else np.inf
     far = np.abs(s) > radius
     if far.any():
-        j = np.arange(int(39.2 / np.log(radius)) + 2)[:, None]  # radius**-j < 1e-17
-        k = np.arange(deg + 1)[None, :]
-        moments = np.where((j + k) % 2 == 0, 2.0 / (j + k + 1), 0.0) @ np.asarray(a)
+        moments = _moments(a, int(39.2 / np.log(radius)) + 2)  # radius**-j < 1e-17
         r = 1 / s[far]
         out[far] = r * np.polynomial.polynomial.polyval(r, moments)
     near = ~far

@@ -1,9 +1,10 @@
 """Numerics the tests use as independent oracles: iterated Richardson
-extrapolation, Gauss-Legendre segment and rectangle contour sums, and
-Stieltjes inversion levels by adaptive quadrature of the transform.
+extrapolation, Gauss-Legendre segment and rectangle contour sums, Stieltjes
+inversion levels by adaptive quadrature of the transform, and the
+correlation with its density terms by adaptive quadrature in s.
 
 Nothing in the package calls these; ``pole_probe`` has its own batched
-contour rule, and the inversion computes its levels in closed form.
+contour rule, and the inversion levels and the correlation are closed forms.
 """
 
 from __future__ import annotations
@@ -93,3 +94,23 @@ def adaptive_levels(nu, a: float, b: float, ys, tol: float = 1e-12) -> np.ndarra
         total = sum(integrate_adaptive(integrand, lo, hi, tol=tol).value for lo, hi in zip(cuts[:-1], cuts[1:]))
         out.append(complex(*(-total / np.pi)))
     return np.array(out)
+
+
+def adaptive_correlation(model, t, tol: float = 1e-12) -> np.ndarray:
+    """f(t) over an array ``t >= 0``: atoms of the pushforward measure and the
+    tempered term in closed form, each density piece by adaptive
+    Gauss-Kronrod quadrature of p(s) exp(-(d - s) t) over the piece."""
+    from rankone_gap import pushforward_measure, remainder_term
+    from rankone_gap.quadrature import integrate_adaptive
+
+    t = np.asarray(t, dtype=float)
+    nu = pushforward_measure(model)
+    out = remainder_term(model, t).astype(complex)
+    for atom in nu.atoms:
+        out += atom.weight * np.exp(-(model.d - atom.location) * t)
+    for p in nu.pieces:
+        def integrand(s, _p=p):
+            return np.polynomial.polynomial.polyval(s, _p.coeffs) * np.exp(-(model.d - s) * t[..., None])
+
+        out += integrate_adaptive(integrand, p.lo, p.hi, tol=tol).value
+    return out

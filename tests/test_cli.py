@@ -365,7 +365,7 @@ def option(name, value):
 
 
 # Im z of 1e308 oscillates faster than any quadrature resolves: the Laplace
-# quadrature then spends its whole panel budget, about 4 GB, before it fails
+# quadrature then spends its whole panel budget, 1-2 s on 2 cores, before it fails
 im_parts = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0]) | st.floats(-20, 20)
 
 
@@ -487,8 +487,9 @@ def test_model_bytes_unchanged(case, tmp_path):
     without zero parts, byte for byte, as the CLI printed them while the
     verdict still took a list of (sigma, measure) pairs (commit 01c151c).
     The four inverts and three detects were recaptured when the inversion
-    levels became closed forms; they moved in their last digits.  Each case
-    carries its input document."""
+    levels became closed forms, and the ``--t-max 40`` compare when the
+    correlation did; they moved in their last digits.  Each case carries its
+    input document."""
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(case["document"]))
     argv = with_doc(case["argv"], str(path))
@@ -522,6 +523,31 @@ def test_large_entry_scan_costs_like_a_small_one():
 
     scan = ["cfun", "scan", "--d", "2", "--sigma", "0", "--grid", "20000"]
     assert best_of_three(scan + ["--tau", "1000000"]) < 5 * best_of_three(scan)
+
+
+LARGE_DENSITY = [0.3, -0.5, 0.2, 0.7, -0.1, 0.4, 0.9]
+
+
+@pytest.mark.parametrize("coeffs", [LARGE_DENSITY, LARGE_DENSITY + [-0.6, 0.8]], ids=["deg6", "deg8"])
+@pytest.mark.parametrize("argv", [
+    ["sim", "compare", "--model", DOC],
+    ["sim", "laplace", "--model", DOC, "--z-grid", "0.2:2:10"],
+])
+def test_large_density_model_passes_quickly(coeffs, argv, tmp_path):
+    """A density of size about 1e5 (degree 6) or 1e7 (degree 8) at s = 7.5
+    rounds above the absolute 1e-9 Laplace tolerance; the tolerance taken from
+    the model's size lets the quadrature in t converge at once."""
+    doc = {
+        "d": 8, "delta": 7.6,
+        "channels": [{"sigma": {"n": 8, "entries": [0, 0, 0, 0]}, "coeff_re": [1.0],
+                      "measure": {"densities": [{"a": 5.35, "b": 7.53, "coeffs_re": coeffs}]}}],
+    }
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, _, err = run_captured(with_doc(argv, str(path)))
+    assert (code, err) == (0, "")
+    assert time.perf_counter() - start < 1.0
 
 
 def two_channel_doc(atoms, pieces=()):

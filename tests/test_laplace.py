@@ -24,7 +24,7 @@ from rankone_gap import (
     validate,
 )
 
-from oracle_numerics import richardson_limit
+from oracle_numerics import adaptive_correlation, richardson_limit
 
 TRIV2 = validate(2, (0,))
 SIG_NEG = validate(2, (-1,))
@@ -133,6 +133,101 @@ class TestCorrelation:
             assert correlation(model, t).real == pytest.approx(expected, rel=1e-9)
 
 
+def one_piece_model(d, lo, hi, coeffs):
+    """delta = d and one trivial channel with a density on [lo, hi] and c = 1,
+    so the pushforward measure is that density."""
+    measure = RealLineMeasure(pieces=((lo, hi, tuple(coeffs)),))
+    return SpectralModel(d=d, delta=d, channels=(Channel(validate(d, (0,) * (d // 2)), measure, (1.0,)),))
+
+
+def density_corpus():
+    """120 seeded density pieces in (d/2, d]: degrees 0-8, every third with its
+    top at d, every other with coefficients scaled to the piece, every fourth
+    complex."""
+    rng = np.random.default_rng(2026)
+    for i in range(120):
+        deg, d = i % 9, int(rng.integers(2, 9))
+        hi = float(d) if i % 3 == 0 else float(rng.uniform(d / 2 + 0.1, d))
+        lo = float(rng.uniform(d / 2, hi - 0.01))
+        coeffs = rng.uniform(-1, 1, deg + 1) + 1j * (rng.uniform(-1, 1, deg + 1) if i % 4 == 1 else 0)
+        if i % 2:
+            coeffs /= max(abs(lo), abs(hi)) ** np.arange(deg + 1)
+        yield d, lo, hi, tuple(complex(c) for c in coeffs)
+
+
+def mp_density_term(coeffs, lo, hi, d, t):
+    """int_lo^hi p(s) exp(-(d - s) t) ds at 100 digits, from the antiderivative
+    exp(-(d - s) t) sum_j (-1)**j p^(j)(s) / t**(j + 1).  Its terms cancel to
+    about t**-deg of their size, which 100 digits absorb for t >= 1e-3."""
+    with mpmath.workdps(100):
+        c = [mpmath.mpc(x) for x in coeffs]
+        lo, hi, t = mpmath.mpf(lo), mpmath.mpf(hi), mpmath.mpf(t)
+        if t == 0:
+            return sum(ck * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1) for k, ck in enumerate(c))
+
+        def antiderivative(s):
+            b = list(c)  # shifted in place to p(s + x) = sum b[j] x**j, so p^(j)(s) = j! b[j]
+            for i in range(len(b) - 1):
+                for k in range(len(b) - 2, i - 1, -1):
+                    b[k] += s * b[k + 1]
+            q = sum((-1) ** j * mpmath.factorial(j) * bj / t ** (j + 1) for j, bj in enumerate(b))
+            return mpmath.exp(-(d - s) * t) * q
+
+        return antiderivative(hi) - antiderivative(lo)
+
+
+def workload_model(rng, d):
+    """A model like those of the continuation benchmark: an atom at delta,
+    up to two atoms below, a density of degree 0-2 on [d/2 + 0.02, hi], a
+    linear coefficient and, every other time, a tempered term."""
+    delta = d / 2 + rng.uniform(0.4, 0.5) * (d / 2 if d < 4 else 1.0)
+    top = delta - 0.15
+    atoms = [(delta, complex(rng.uniform(0.3, 1), rng.uniform(-0.3, 0.3)))]
+    atoms += [(float(x), rng.uniform(-1, 1)) for x in rng.uniform(d / 2 + 0.05, top, rng.integers(0, 3))]
+    lo = d / 2 + 0.02
+    hi = rng.uniform(lo + 0.1, top)
+    deg = int(rng.integers(0, 3))
+    coeffs = (rng.uniform(-1, 1, deg + 1) + 1j * rng.uniform(-1, 1, deg + 1) * (rng.random() < 0.5)) / hi ** np.arange(deg + 1)
+    measure = RealLineMeasure(atoms=tuple(atoms), pieces=((lo, hi, tuple(coeffs)),))
+    return SpectralModel(
+        d=d,
+        delta=delta,
+        channels=(Channel(validate(d, (0,) * (d // 2)), measure, (rng.uniform(0.5, 1.5), rng.uniform(-0.3, 0.3))),),
+        tempered_amplitude=rng.uniform(0.1, 0.8) * (rng.random() < 0.5),
+    )
+
+
+class TestClosedFormCorrelation:
+    """A density piece on [hi - 2h, hi] adds h exp(-(d - hi) t) E(ht) to f(t),
+    where E is a series in Poisson weights up to ht = deg + 8 and an upward
+    recurrence above."""
+
+    def test_against_mpmath(self):
+        checked = 0
+        for d, lo, hi, coeffs in density_corpus():
+            model = one_piece_model(d, lo, hi, coeffs)
+            switch = (len(coeffs) + 7) / (0.5 * (hi - lo))  # t where ht = deg + 8
+            ts = np.array([0.0, 1e-3, 0.3, 3.0, 0.99 * switch, switch, 1.01 * switch, 100.0, 1e3, 1e4])
+            tol = 1e-14 * model.channels[0].measure.pieces[0].variation_bound()
+            for t, value in zip(ts, correlation(model, ts)):
+                assert abs(value - complex(mp_density_term(coeffs, lo, hi, d, t))) <= tol, (d, lo, hi, coeffs, t)
+                checked += 1
+        assert checked == 1200
+
+    def test_against_adaptive_quadrature(self):
+        rng = np.random.default_rng(17)
+        ts = np.linspace(0.0, 80.0, 801)
+        for i in range(12):
+            model = workload_model(rng, 2 + i % 3)
+            assert np.max(np.abs(correlation(model, ts) - adaptive_correlation(model, ts))) <= 1e-12
+
+    def test_points_do_not_depend_on_their_batch(self):
+        # h = 0.75 and deg = 3: ht = 11 switches from the series at t = 14.67
+        model = one_piece_model(4, 2.5, 4.0, (1.0, -0.5j, 0.25, -0.125))
+        ts = np.array([0.0, 0.5, 14.6, 14.7, 80.0, 1e4])
+        assert np.all(correlation(model, ts) == [correlation(model, t) for t in ts])
+
+
 class TestLaplace:
     def test_atom_below_delta(self):
         model = atom_model(2, 1.5, [(1.2, 1.0)])
@@ -229,6 +324,17 @@ class TestLaplace:
         closed = laplace_closed(model, -0.1)
         assert closed == pytest.approx(1.25, rel=1e-12)
         assert abs(res.value - closed) <= res.truncation_bound
+
+    def test_bound_includes_tolerance_scaled_to_the_model(self):
+        # at s = 7.5 this density is about 1e5, so the integrand rounds above
+        # the absolute 1e-9 floor and the tolerance eps * size * t_max takes over
+        model = one_piece_model(8, 5.35, 7.53, (0.3, -0.5, 0.2, 0.7, -0.1, 0.4, 0.9))
+        zs = np.array([0.5, 1.0, 2.0])
+        tol = math.ulp(1.0) * pushforward_measure(model).total_variation_bound() * 80.0
+        assert tol > 1e-9
+        res = laplace_numeric(model, zs)
+        assert np.all(res.truncation_bound == truncation_bound(model, zs, 80.0) + tol)
+        assert np.all(np.abs(res.value - laplace_closed(model, zs)) <= res.truncation_bound)
 
     def test_truncation_bound_honest_as_t_max_grows(self):
         model = atom_model(2, 1.5, [(1.45, 1.0)])
@@ -516,13 +622,11 @@ class TestShapeContract:
         out = correlation(atoms, t)
         assert_shape(out, t)
         assert np.all(out == pointwise(lambda s: correlation(atoms, s), t))
-        # a density piece is one quadrature shared by the batch: the shaped
-        # call is the flat call, and agrees point by point to its tolerance
+        # so is a density piece, summed point by point
         model = two_channel_model()
         out = correlation(model, t)
         assert_shape(out, t)
-        assert np.all(out == correlation(model, t.ravel()).reshape(t.shape))
-        assert np.allclose(out, pointwise(lambda s: correlation(model, s), t), rtol=0, atol=1e-9)
+        assert np.all(out == pointwise(lambda s: correlation(model, s), t))
 
     @pytest.mark.parametrize("z", SHAPES_Z, ids=["0d", "1d", "2d", "empty"])
     def test_laplace_numeric(self, z):
