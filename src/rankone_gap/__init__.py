@@ -48,6 +48,7 @@ from .measures import (
     Atom,
     DensityPiece,
     RealLineMeasure,
+    cumulative_mass,
     half_weighted_mass,
     interval_mass,
     interval_mass_exact,
@@ -72,7 +73,6 @@ from .laplace import (
     laplace_closed,
     laplace_numeric,
     pole_probe,
-    pushforward_measure,
     rank_test,
     remainder_term,
     residue_at_zero,

@@ -14,23 +14,26 @@ analytic tail bound, and the closed channel sum  B(z) = sum int c(s)/(z+delta-s)
 dm(s)  whose only pole in the probe strip, after subtracting the mass at
 delta, would come from spectral mass strictly below delta.
 
-Every channel quantity (the correlation, the tail bound, the closed sum and
-the residue at z = 0) reads one measure, the pushforward
-nu = sum_channels c(s) dm(s) of ``pushforward_measure``; the closed sum is
-its Stieltjes transform at z + delta.
+Every channel quantity (the correlation, the tail bound, the closed sum, the
+residue at z = 0 and the pole probe's cells) reads one measure, the pushforward
+nu = sum_channels c(s) dm(s) built once per model (``SpectralModel.pushforward``).
+The closed sum is its Stieltjes transform at z + delta, so by the residue
+theorem the probe's contour cells are masses of nu, with no contour quadrature.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .gaps import continuation_width, parameter_interval
-from .measures import Atom, DensityPiece, RealLineMeasure, interval_mass
-from .quadrature import integrate_adaptive
-from .stieltjes import _midpoint_coeffs, _moments, transform
+from .measures import (Atom, DensityPiece, RealLineMeasure, _midpoint_coeffs, cumulative_mass,
+                       interval_mass)
+from .quadrature import QuadratureError, integrate_adaptive
+from .stieltjes import _moments, transform
 from .weights import HighestWeight
 from .wire import as_objects, complex_list, integer, real
 
@@ -91,6 +94,19 @@ class SpectralModel:
                         f"density [{piece.lo}, {piece.hi}] outside ({box.lo}, {hi}] "
                         f"for {ch.sigma}"
                     )
+
+    @cached_property
+    def pushforward(self) -> RealLineMeasure:
+        """The measure sum_ch c_sigma(s) dm_sigma(s), the one place a channel's
+        coefficient multiplies its measure; built once per model."""
+        total = RealLineMeasure()
+        for ch in self.channels:
+            c = np.asarray(ch.coeff, dtype=complex)
+            atoms = [Atom(a.location, a.weight * complex(_polyval(a.location, c)))
+                     for a in ch.measure.atoms]
+            pieces = [DensityPiece(p.lo, p.hi, _polymul(p.coeffs, c)) for p in ch.measure.pieces]
+            total = total + RealLineMeasure(tuple(atoms), tuple(pieces))
+        return total
 
     def to_json(self) -> dict:
         return {
@@ -159,7 +175,7 @@ def correlation(model: SpectralModel, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("correlation is defined for t >= 0")
-    nu = pushforward_measure(model)
+    nu = model.pushforward
     out = np.zeros(t.shape, dtype=complex)
     d = model.d
     for atom in nu.atoms:
@@ -177,7 +193,7 @@ def truncation_bound(model: SpectralModel, z, t_max: float):
     shape of ``z``."""
     re_z = np.asarray(z, dtype=complex).real
     bound = np.zeros(re_z.shape)
-    nu = pushforward_measure(model)
+    nu = model.pushforward
     d, delta = model.d, model.delta
     tails = [(abs(a.weight), a.location) for a in nu.atoms] + [
         (p.variation_bound(), p.hi) for p in nu.pieces
@@ -216,17 +232,20 @@ def laplace_numeric(model: SpectralModel, z, t_max: float = 80.0) -> LaplaceResu
     Re z to the right of the pushforward measure's sup-support minus delta
     (and of d/2 - delta when the tempered term is present) so the discarded
     tail admits the reported bound, which includes the quadrature tolerance.
+    Raises QuadratureError when the quadrature does not reach that tolerance.
     """
     if not t_max > 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
     z = np.asarray(z, dtype=complex)
     # the rounding floor of an integrand of modulus up to about size over [0, t_max]
-    size = pushforward_measure(model).total_variation_bound() + model.tempered_amplitude
+    size = model.pushforward.total_variation_bound() + model.tempered_amplitude
     tol = max(TOL_QUAD, math.ulp(1.0) * size * t_max)
     bound = truncation_bound(model, z, t_max) + tol
     exponent = z + model.delta - model.d
     res = integrate_adaptive(
         lambda t: correlation(model, t) * np.exp(-exponent[..., None] * t), 0.0, t_max, tol=tol)
+    if not res.converged:
+        raise QuadratureError(f"quadrature in t did not reach tolerance {tol:g} on [0, {t_max:g}]")
     return LaplaceResult(res.value, bound)
 
 
@@ -236,30 +255,12 @@ def laplace_closed(model: SpectralModel, z):
 
     Raises SingularPointError on the pole set z = s - delta.
     """
-    return transform(pushforward_measure(model), np.asarray(z, dtype=complex) + model.delta)
+    return transform(model.pushforward, np.asarray(z, dtype=complex) + model.delta)
 
 
 def residue_at_zero(model: SpectralModel) -> complex:
     """Total atomic mass at s = delta weighted by the main-term coefficient."""
-    return interval_mass(pushforward_measure(model), model.delta, model.delta)
-
-
-def pushforward_measure(model: SpectralModel) -> RealLineMeasure:
-    """The measure sum_ch c_sigma(s) dm_sigma(s), the one place a channel's
-    coefficient multiplies its measure."""
-    total = RealLineMeasure()
-    for ch in model.channels:
-        c = np.asarray(ch.coeff, dtype=complex)
-        atoms = tuple(
-            Atom(a.location, a.weight * complex(_polyval(a.location, c)))
-            for a in ch.measure.atoms
-        )
-        pieces = tuple(
-            DensityPiece(p.lo, p.hi, tuple(_polymul(p.coeffs, c)))
-            for p in ch.measure.pieces
-        )
-        total = total + RealLineMeasure(atoms=atoms, pieces=pieces)
-    return total
+    return interval_mass(model.pushforward, model.delta, model.delta)
 
 
 @dataclass
@@ -319,59 +320,45 @@ def pole_probe(
     x_step: float = 1e-3,
 ) -> PoleProbeReport:
     """Probe the subtracted transform G(z) = B(z) - residue/z on |Re z| < eta;
-    both terms read one pushforward measure.
+    both terms read one pushforward measure nu.
 
     After removing the simple pole carried by the mass at delta, any channel
     mass strictly inside (delta - eta, delta) leaves a singularity on the
     negative real axis.  A pole is declared only when |G| blows up near a
-    grid point AND a rectangular contour cell around it fails to vanish (the
-    double condition keeps quadrature and cancellation noise from being read
-    as a pole); the winning cell's center locates the pole to the grid
+    grid point AND a contour cell between consecutive grid points fails to
+    vanish; the winning cell's center locates the pole to the grid
     resolution.  |G| is sampled at heights 1e-4, 1e-3 and 1e-2 above the grid
-    and blows up when its peak exceeds 1e-6 and 20 times the median at 1e-2;
-    a cell fails to vanish when its 16-node Gauss-Legendre contour sum
-    exceeds 1e-6 in modulus.
+    and blows up when its peak exceeds 1e-6 and 20 times the median at 1e-2.
+    By the residue theorem a cell's contour sum |int G dz| / 2 pi is the mass
+    over the cell of nu less its atom at delta: a difference of
+    ``cumulative_mass`` at the edges delta + x, so an atom on an edge counts
+    half in each neighbour.  A cell fails to vanish above 1e-6.
     """
     if not 0 < eta < continuation_width(model.delta, model.d):
         raise ValueError("eta must lie in (0, continuation width)")
     if not x_step > 0:
         raise ValueError("x_step must be positive")
-    nu = pushforward_measure(model)
-    res0 = interval_mass(nu, model.delta, model.delta)
-
-    def G(z):  # every sample below has Im z != 0, so res0 / z is finite
-        return transform(nu, z + model.delta) - res0 / z
-
     xs = np.arange(-eta + x_step, eta - x_step / 2, x_step)
     if xs.size < 2:
         raise ValueError("x_step leaves no contour cell in (-eta, eta)")
-    samples = np.abs(G(xs + 1j * np.array([[1e-4], [1e-3], [1e-2]])))
+    nu, res0 = model.pushforward, residue_at_zero(model)
+    z = xs + 1j * np.array([[1e-4], [1e-3], [1e-2]])  # Im z != 0, so res0 / z is finite
+    samples = np.abs(transform(nu, z + model.delta) - res0 / z)
     max_abs = float(samples.max())
     baseline = float(np.median(samples[-1]))
     blowup = max_abs > 20.0 * (baseline + 1e-12) and max_abs > 1e-6
 
-    # Contour cells between consecutive grid points, height +-x_step.  All
-    # horizontal edges share two lines and all vertical edges share the x
-    # grid, so G is evaluated in three batched calls.
-    y_c = x_step
-    gl_x, gl_w = np.polynomial.legendre.leggauss(16)
-    mids = 0.5 * (xs[:-1] + xs[1:])
-    halves = 0.5 * (xs[1:] - xs[:-1])
-    hx = mids[:, None] + halves[:, None] * gl_x
-    h_int_bot = (G(hx - 1j * y_c) * gl_w).sum(axis=1) * halves
-    h_int_top = (G(hx + 1j * y_c) * gl_w).sum(axis=1) * halves
-    v_int = 1j * y_c * (G(xs[:, None] + 1j * (y_c * gl_x)) * gl_w).sum(axis=1)
-    cells = np.abs(h_int_bot + v_int[1:] - h_int_top - v_int[:-1]) / (2 * math.pi)
+    below = RealLineMeasure(tuple(a for a in nu.atoms if a.location != model.delta), nu.pieces)
+    cells = np.abs(np.diff(cumulative_mass(below, model.delta + xs)))
     k = int(np.argmax(cells))
     max_contour = float(cells[k])
-    pole_location = float(mids[k])
     contour_detected = max_contour > 1e-6
     failed = blowup and contour_detected
     return PoleProbeReport(
         passed=not failed,
         blowup_detected=blowup,
         contour_detected=contour_detected,
-        pole_location=pole_location if failed else None,
+        pole_location=float(0.5 * (xs[k] + xs[k + 1])) if failed else None,
         max_abs=max_abs,
         max_contour=max_contour,
     )

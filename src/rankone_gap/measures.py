@@ -222,3 +222,28 @@ def half_weighted_mass(nu: RealLineMeasure, lo: float, hi: float) -> complex:
         if a.location == lo or a.location == hi:
             value += 0.5 * a.weight
     return value
+
+
+def _midpoint_coeffs(coeffs, m: float, h: float) -> list[complex]:
+    """Coefficients of A(v) = p(m + h v) for p(t) = sum coeffs[k] t**k."""
+    c = [complex(x) for x in coeffs]
+    a = c[-1:]
+    for ck in reversed(c[:-1]):  # Horner in polynomials
+        a = [m * x + h * y for x, y in zip(a + [0j], [0j] + a)]
+        a[0] += ck
+    return a
+
+
+def cumulative_mass(nu: RealLineMeasure, x) -> np.ndarray:
+    """nu((-inf, x)) + nu({x})/2 in floats over an array ``x``: differences are
+    ``half_weighted_mass`` values.  Density pieces are integrated in their
+    midpoint variable, so the rounding does not depend on where they sit."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape, dtype=complex)
+    for a in nu.atoms:
+        out += a.weight * 0.5 * (np.sign(x - a.location) + 1)
+    for p in nu.pieces:
+        m, h = 0.5 * (p.lo + p.hi), 0.5 * (p.hi - p.lo)
+        primitive = np.polynomial.polynomial.polyint(_midpoint_coeffs(p.coeffs, m, h), lbnd=-1)
+        out += h * np.polynomial.polynomial.polyval(np.clip((x - m) / h, -1.0, 1.0), primitive)
+    return out

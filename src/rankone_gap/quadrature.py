@@ -1,12 +1,12 @@
 """Shared numerical kernels: adaptive Gauss-Kronrod quadrature and one
 first-order Richardson sweep.
 
-The quadrature serves the Laplace layer, where one subdivision in t
+The quadrature serves ``laplace_numeric``, where one subdivision in t
 integrates a whole batch of z points: integrands receive a flat array of
 abscissae and may return either a matching array or a stack of component
 rows (any leading axes).  Panels are processed breadth-first, one numpy call
 per generation, so the Python cost grows with the depth of the subdivision,
-not with the number of panels.
+not with the number of panels.  A result is a value and a ``converged`` flag.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ class QuadratureError(RuntimeError):
 @dataclass
 class QuadResult:
     value: object  # scalar or ndarray matching the integrand's leading axes
-    error: object  # float, or ndarray per component like ``value``
     converged: bool
 
 
@@ -80,9 +79,7 @@ def integrate_adaptive(
 
     ``f(x)`` takes a 1-d array of abscissae and returns an array whose LAST
     axis matches ``x``; any leading axes are integrated componentwise, with
-    panel acceptance driven by the worst component.  ``error`` is then per
-    component: the sum of |K15 - G7| over the accepted panels, which is
-    exactly 0 for a component that is identically 0.  [a, b] is first split
+    panel acceptance driven by the worst component.  [a, b] is first split
     uniformly into ``INIT_PANELS`` panels.
     Local acceptance uses the standard width-proportional budget
     ``tol * (hi - lo) / (b - a)`` so accepted-panel errors sum below ``tol``.
@@ -98,7 +95,6 @@ def integrate_adaptive(
     hi = pts[1:].copy()
 
     total = None
-    err_total = 0.0
     panels_spent = 0
     min_width = width * 2.0 ** (-48)
     forced = False
@@ -131,7 +127,6 @@ def integrate_adaptive(
         if np.any(done):
             contrib = k15[..., done].sum(axis=-1)
             total = contrib if total is None else total + contrib
-            err_total = err_total + err[..., done].sum(axis=-1)
 
         lo_next = lo[~done]
         hi_next = hi[~done]
@@ -141,8 +136,7 @@ def integrate_adaptive(
 
     if total is None:
         total = 0.0
-    error = float(err_total) if np.ndim(err_total) == 0 else err_total
-    return QuadResult(value=total, error=error, converged=not forced)
+    return QuadResult(value=total, converged=not forced)
 
 
 def richardson_sweep(values):

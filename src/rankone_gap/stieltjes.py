@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import RealLineMeasure, interval_mass_exact
+from .measures import RealLineMeasure, _midpoint_coeffs, interval_mass_exact
 from .quadrature import richardson_sweep
 
 TOL_SUPPORT = 1e-9
@@ -35,16 +35,6 @@ CONTINUITY_TOL = 1e-2
 
 class SingularPointError(ValueError):
     """Evaluation point is on (or numerically at) the support of the measure."""
-
-
-def _midpoint_coeffs(coeffs, m: float, h: float) -> list[complex]:
-    """Coefficients of A(v) = p(m + h v) for p(t) = sum coeffs[k] t**k."""
-    c = [complex(x) for x in coeffs]
-    a = c[-1:]
-    for ck in reversed(c[:-1]):  # Horner in polynomials
-        a = [m * x + h * y for x, y in zip(a + [0j], [0j] + a)]
-        a[0] += ck
-    return a
 
 
 def _moments(a, count: int):

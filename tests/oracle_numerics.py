@@ -3,8 +3,9 @@ extrapolation, Gauss-Legendre segment and rectangle contour sums, Stieltjes
 inversion levels by adaptive quadrature of the transform, and the
 correlation with its density terms by adaptive quadrature in s.
 
-Nothing in the package calls these; ``pole_probe`` has its own batched
-contour rule, and the inversion levels and the correlation are closed forms.
+Nothing in the package calls these: the inversion levels, the correlation
+and ``pole_probe``'s contour cells are closed forms, the cells being masses
+by the residue theorem.
 """
 
 from __future__ import annotations
@@ -100,11 +101,11 @@ def adaptive_correlation(model, t, tol: float = 1e-12) -> np.ndarray:
     """f(t) over an array ``t >= 0``: atoms of the pushforward measure and the
     tempered term in closed form, each density piece by adaptive
     Gauss-Kronrod quadrature of p(s) exp(-(d - s) t) over the piece."""
-    from rankone_gap import pushforward_measure, remainder_term
+    from rankone_gap import remainder_term
     from rankone_gap.quadrature import integrate_adaptive
 
     t = np.asarray(t, dtype=float)
-    nu = pushforward_measure(model)
+    nu = model.pushforward
     out = remainder_term(model, t).astype(complex)
     for atom in nu.atoms:
         out += atom.weight * np.exp(-(model.d - atom.location) * t)

@@ -238,6 +238,17 @@ class TestInputErrors:
                 capsys, ["stieltjes", cmd, "--model", str(path), "--a", "0", "--b", "1"]
             )
 
+    def test_unconverged_quadrature_in_t(self, capsys, tmp_path, monkeypatch):
+        # a result with panels forced at the width floor is refused, not printed
+        import rankone_gap.laplace as laplace
+        from rankone_gap.quadrature import QuadResult
+
+        monkeypatch.setattr(laplace, "integrate_adaptive", lambda *a, **k: QuadResult(0j, converged=False))
+        for argv in (["sim", "laplace", "--model", MODEL, "--z-grid", "0.2:2:3"],
+                     ["sim", "compare", "--model", MODEL]):
+            err = self.assert_input_error(capsys, with_docs(argv, tmp_path))
+            assert "did not reach tolerance" in err
+
 
 class TestDeterminism:
     def test_run_reads_sys_argv(self, capsys, monkeypatch):
@@ -488,8 +499,10 @@ def test_model_bytes_unchanged(case, tmp_path):
     verdict still took a list of (sigma, measure) pairs (commit 01c151c).
     The four inverts and three detects were recaptured when the inversion
     levels became closed forms, and the ``--t-max 40`` compare when the
-    correlation did; they moved in their last digits.  Each case carries its
-    input document."""
+    correlation did; they moved in their last digits.  The four ``sim poles``
+    cases were recaptured when the probe's contour cells became exact masses:
+    only ``max_contour`` moved, to the cell mass (half an atom on an edge, 0
+    for an empty strip).  Each case carries its input document."""
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(case["document"]))
     argv = with_doc(case["argv"], str(path))

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import cached_property
 
 import mpmath
 import numpy as np
@@ -12,10 +13,10 @@ from rankone_gap import (
     SpectralModel,
     compare_numeric_closed,
     correlation,
+    cumulative_mass,
     laplace_closed,
     laplace_numeric,
     pole_probe,
-    pushforward_measure,
     rank_test,
     remainder_term,
     residue_at_zero,
@@ -24,7 +25,7 @@ from rankone_gap import (
     validate,
 )
 
-from oracle_numerics import adaptive_correlation, richardson_limit
+from oracle_numerics import adaptive_correlation, rectangle_contour_sum, richardson_limit
 
 TRIV2 = validate(2, (0,))
 SIG_NEG = validate(2, (-1,))
@@ -330,11 +331,22 @@ class TestLaplace:
         # the absolute 1e-9 floor and the tolerance eps * size * t_max takes over
         model = one_piece_model(8, 5.35, 7.53, (0.3, -0.5, 0.2, 0.7, -0.1, 0.4, 0.9))
         zs = np.array([0.5, 1.0, 2.0])
-        tol = math.ulp(1.0) * pushforward_measure(model).total_variation_bound() * 80.0
+        tol = math.ulp(1.0) * model.pushforward.total_variation_bound() * 80.0
         assert tol > 1e-9
         res = laplace_numeric(model, zs)
         assert np.all(res.truncation_bound == truncation_bound(model, zs, 80.0) + tol)
         assert np.all(np.abs(res.value - laplace_closed(model, zs)) <= res.truncation_bound)
+
+    def test_unconverged_quadrature_is_refused(self, monkeypatch):
+        import rankone_gap.laplace as laplace
+        from rankone_gap.quadrature import QuadratureError, QuadResult
+
+        monkeypatch.setattr(laplace, "integrate_adaptive", lambda *a, **k: QuadResult(0j, converged=False))
+        model = atom_model(2, 1.5, [(1.2, 1.0)])
+        with pytest.raises(QuadratureError, match="did not reach tolerance"):
+            laplace_numeric(model, 1.0)
+        with pytest.raises(QuadratureError):
+            compare_numeric_closed(model, [0.5 + 0j])
 
     def test_truncation_bound_honest_as_t_max_grows(self):
         model = atom_model(2, 1.5, [(1.45, 1.0)])
@@ -431,6 +443,74 @@ class TestPoleProbe:
             pole_probe(atom_model(2, 1.8, [(1.8, 1.0)]), 0.5, x_step=x_step)
 
 
+def probe_grid(eta, x_step):
+    """The x grid of ``pole_probe`` and the centers of its cells."""
+    xs = np.arange(-eta + x_step, eta - x_step / 2, x_step)
+    return xs, 0.5 * (xs[:-1] + xs[1:])
+
+
+class TestExactCells:
+    """A cell's contour sum is the mass it encloses, less the atom at delta."""
+
+    def test_max_contour_is_the_contour_sum_round_the_winning_cell(self):
+        rng = np.random.default_rng(18)
+        for i in range(6):
+            d = 2 + i % 3
+            eta, x_step = 0.1, (1e-3, 1e-2)[i % 2]
+            xs, mids = probe_grid(eta, x_step)
+            delta = d / 2 + 0.45
+            # an atom strictly inside a cell and, every other time, a density into the
+            # strip; no density end sits on a contour, where the oracle converges slowly
+            k = int(rng.choice(np.flatnonzero(mids < -x_step)))
+            planted = delta + float(mids[k]) + 0.2 * x_step
+            pieces = ((d / 2 + 0.02, delta - 0.0437, (0.3, -0.1j)),) if i % 2 else ()
+            measure = RealLineMeasure(atoms=((delta, 1.0), (planted, 0.5 - 0.25j)), pieces=pieces)
+            model = SpectralModel(d=d, delta=delta, channels=(Channel(validate(d, (0,) * (d // 2)), measure, (1.0, 0.1)),))
+            report = pole_probe(model, eta, x_step=x_step)
+            assert report.pole_location in (None, mids[k])
+            nu, res0 = model.pushforward, residue_at_zero(model)
+            oracle = rectangle_contour_sum(
+                lambda z: transform(nu, z + delta) - res0 / z, xs[k], xs[k + 1], -x_step, x_step
+            )
+            assert report.max_contour == pytest.approx(abs(oracle) / (2 * math.pi), rel=1e-12)
+
+    def test_atom_on_an_edge_counts_half_in_each_neighbour(self):
+        eta, x_step = 0.1, 1e-3
+        xs, mids = probe_grid(eta, x_step)
+        j, w = 60, 0.5 + 0.25j
+        edge = 1.5 + float(xs[j])  # as the probe forms its edges delta + x
+        model = atom_model(2, 1.5, [(1.5, 1.0), (edge, w)])
+        cells = np.diff(cumulative_mass(RealLineMeasure(atoms=((edge, w),)), 1.5 + xs))
+        assert cells[j - 1] == cells[j] == w / 2
+        report = pole_probe(model, eta, x_step=x_step)
+        assert report.max_contour == abs(w) / 2
+        # the left cell wins, half a step below the atom
+        assert report.pole_location == mids[j - 1]
+        assert abs(report.pole_location - xs[j]) <= x_step / 2 * (1 + 1e-9)
+
+
+class TestOnePushforwardPerModel:
+    def test_each_model_builds_its_pushforward_once(self, monkeypatch):
+        built = []
+        build = SpectralModel.pushforward.func
+
+        def counted(model):
+            built.append(model)
+            return build(model)
+
+        prop = cached_property(counted)
+        prop.__set_name__(SpectralModel, "pushforward")
+        monkeypatch.setattr(SpectralModel, "pushforward", prop)
+        model = two_channel_model()
+        laplace_numeric(model, np.linspace(0.2, 2.0, 10))
+        pole_probe(model, 0.1)
+        assert len(built) == 1 and built[0] is model
+        # the numeric side reads a copy with tempered amplitude 0, a second model
+        built.clear()
+        compare_numeric_closed(two_channel_model(), np.linspace(0.2, 2.0, 10))
+        assert len(built) == 2 and built[0].tempered_amplitude == 0.0
+
+
 class TestRank:
     def test_outer_product(self):
         rng = np.random.default_rng(7)
@@ -465,7 +545,7 @@ class TestStieltjesBridge:
                 Channel(SIG_NEG, RealLineMeasure(atoms=((1.45, 1.0j),)), (2.0,)),
             ),
         )
-        nu = pushforward_measure(model)
+        nu = model.pushforward
         for z in (0.3 + 0j, 1.0 + 0.5j, -0.2 + 0.4j):
             assert laplace_closed(model, z) == pytest.approx(
                 transform(nu, z + model.delta), rel=1e-8, abs=1e-9
@@ -609,7 +689,7 @@ class TestShapeContract:
     @pytest.mark.parametrize("z", SHAPES_Z, ids=["0d", "1d", "2d", "empty"])
     def test_closed_forms_equal_pointwise_calls(self, z):
         model = two_channel_model()
-        nu = pushforward_measure(model)
+        nu = model.pushforward
         for f in (lambda w: transform(nu, w + model.delta), lambda w: laplace_closed(model, w)):
             out = f(z)
             assert_shape(out, z)

@@ -1,12 +1,14 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rankone_gap import (
     Atom,
     DensityPiece,
     RealLineMeasure,
+    cumulative_mass,
     half_weighted_mass,
     interval_mass,
     interval_mass_exact,
@@ -61,6 +63,37 @@ def test_endpoint_inclusion_flags():
 def test_half_weighted_mass():
     nu = RealLineMeasure(atoms=((0.0, 1.0), (0.5, 2.0), (1.0, 4.0)))
     assert half_weighted_mass(nu, 0.0, 1.0) == pytest.approx(2.0 + 0.5 + 2.0)
+
+
+def cell_corpus():
+    """40 seeded measures on the edges delta + x of a pole-probe grid: complex
+    atoms, two of them exactly on edges, one at delta, and a complex density
+    piece of degree 0-3 that crosses edges and, every other time, ends at
+    delta."""
+    rng = np.random.default_rng(18)
+    for i in range(40):
+        delta, step = float(rng.uniform(1.5, 4.0)), (1e-3, 1e-2)[i % 2]
+        edges = delta + np.arange(-0.2 + step, 0.2 - step / 2, step)
+        spots = [*rng.choice(edges[edges < delta - step], 2, replace=False), rng.uniform(delta - 0.2, delta), delta]
+        atoms = tuple((float(t), complex(*rng.uniform(-1, 1, 2))) for t in spots)
+        hi = delta if i % 2 else float(rng.uniform(delta - 0.15, delta))
+        lo = float(rng.uniform(delta - 0.5, hi - 0.05))
+        coeffs = rng.uniform(-1, 1, i % 4 + 1) + 1j * rng.uniform(-1, 1, i % 4 + 1)
+        yield RealLineMeasure(atoms=atoms, pieces=((lo, hi, tuple(coeffs)),)), edges
+
+
+def test_cumulative_mass_differences_are_half_weighted_masses():
+    for nu, edges in cell_corpus():
+        cells = np.diff(cumulative_mass(nu, edges))
+        exact = [half_weighted_mass(nu, a, b) for a, b in zip(edges[:-1], edges[1:])]
+        assert np.max(np.abs(cells - exact)) <= 1e-15 * nu.total_variation_bound()
+
+
+def test_cumulative_mass_counts_an_atom_half_at_its_location():
+    nu = RealLineMeasure(atoms=((0.5, 2.0 - 1.0j),), pieces=((1.0, 3.0, (0.0, 1.0)),))
+    assert list(cumulative_mass(nu, [0.0, 0.5, 0.75, 1.0, 2.0, 3.0, 9.0])) == [
+        0, 1.0 - 0.5j, 2.0 - 1.0j, 2.0 - 1.0j, 3.5 - 1.0j, 6.0 - 1.0j, 6.0 - 1.0j
+    ]
 
 
 def test_real_imag_split():
