@@ -1,13 +1,13 @@
 """Command-line interface: one binary exposing every module as subcommands.
 
 Every subcommand is declared once, in ``COMMANDS`` (group -> subcommand ->
-options); ``run`` builds the options of the named group only and dispatches
-through ``HANDLERS``.  Float options and the parts of ``--z-grid`` must be
-finite.  Numeric output carries 15 significant digits; JSON documents are
-emitted in compact form with a schema tag, CSV tables in one write, and
-identical argv (plus seed) always yields byte-identical output.  Exit
-codes: 0 success/PASS, 1 FAIL verdicts, 2 usage or input errors (one
-``error:`` line on stderr, no traceback).
+options); ``run`` builds the options of the named subcommand only and
+dispatches through ``HANDLERS``.  Float options and the parts of
+``--z-grid`` must be finite.  Numeric output carries 15 significant digits;
+JSON documents are emitted in compact form with a schema tag, CSV tables in
+one write, and identical argv (plus seed) always yields byte-identical
+output.  Exit codes: 0 success/PASS, 1 FAIL verdicts, 2 usage or input
+errors (one ``error:`` line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -164,9 +164,11 @@ COMMANDS = {
 }
 
 
-def build_parser(group: str | None) -> argparse.ArgumentParser:
-    """The top-level parser with subcommands for ``group`` only; every other
-    group is a bare name, which is all that top-level usage and errors show."""
+def build_parser(group: str | None, cmd: str | None = None) -> argparse.ArgumentParser:
+    """The top-level parser with subcommands for ``group`` only, and of those
+    the options of ``cmd`` only (of every command when ``cmd`` is None).  Every
+    other group and command is a bare name, which is all that the usage and
+    errors of the levels above it show."""
     top = argparse.ArgumentParser(prog="rankone-gap")
     top.add_argument("--workers", type=int, help="accepted; has no effect")
     top.add_argument("--seed", type=int, default=0, help="accepted; has no effect")
@@ -176,11 +178,28 @@ def build_parser(group: str | None) -> argparse.ArgumentParser:
             groups.add_parser(name, add_help=False)
             continue
         subs = groups.add_parser(name).add_subparsers(dest="cmd", required=True)
-        for cmd, options in commands.items():
-            p = subs.add_parser(cmd)
+        for command, options in commands.items():
+            if cmd is not None and command != cmd:
+                subs.add_parser(command, add_help=False)
+                continue
+            p = subs.add_parser(command)
             for flag, kwargs in options:
                 p.add_argument(flag, **kwargs)
     return top
+
+
+def named(argv) -> tuple[str | None, str | None]:
+    """The group and command that ``argv`` names, for ``build_parser``.
+
+    argparse picks the group from the first positional; any group name
+    before it is an int option's value and stops parsing with an error.  A
+    group parser has only -h, so the token after the group is the command,
+    or else a help, usage or error path, which gets the whole group (None)."""
+    for i, token in enumerate(argv):
+        if token in COMMANDS:
+            following = argv[i + 1] if i + 1 < len(argv) else None
+            return token, following if following in COMMANDS[token] else None
+    return None, None
 
 
 def _load_model(path: str) -> SpectralModel:
@@ -340,11 +359,8 @@ HANDLERS = {"duals": _cmd_duals, "ktype": _cmd_ktype, "cfun": _cmd_cfun, "gap": 
 
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # argparse picks the group from the first positional; any group name
-    # before it is an int option's value and stops parsing with an error
-    group = next((token for token in argv if token in COMMANDS), None)
     try:
-        args = build_parser(group).parse_args(argv)
+        args = build_parser(*named(argv)).parse_args(argv)
         # a numpy overflow or invalid value is an input error, not a warning
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return HANDLERS[args.group](args)

@@ -42,6 +42,7 @@ _polymul = np.polynomial.polynomial.polymul
 
 TOL_QUAD = 1e-9
 TOL_RANK = 1e-10
+PROBE_CELL_POINTS = 17  # |G| samples across the pole probe's winning cell, edges included
 
 
 @dataclass(frozen=True)
@@ -327,12 +328,15 @@ def pole_probe(
     negative real axis.  A pole is declared only when |G| blows up near a
     grid point AND a contour cell between consecutive grid points fails to
     vanish; the winning cell's center locates the pole to the grid
-    resolution.  |G| is sampled at heights 1e-4, 1e-3 and 1e-2 above the grid
-    and blows up when its peak exceeds 1e-6 and 20 times the median at 1e-2.
-    By the residue theorem a cell's contour sum |int G dz| / 2 pi is the mass
-    over the cell of nu less its atom at delta: a difference of
+    resolution.  By the residue theorem a cell's contour sum |int G dz| / 2 pi
+    is the mass over the cell of nu less its atom at delta: a difference of
     ``cumulative_mass`` at the edges delta + x, so an atom on an edge counts
-    half in each neighbour.  A cell fails to vanish above 1e-6.
+    half in each neighbour.  A cell fails to vanish above 1e-6.  |G| is
+    sampled at heights 1e-4, 1e-3 and 1e-2 above the grid and above
+    ``PROBE_CELL_POINTS`` evenly spaced points across the winning cell, so a
+    small residue between grid points is seen from within x_step / 32.  It
+    blows up when its peak exceeds 1e-6 and 20 times the median over the
+    grid at 1e-2.
     """
     if not 0 < eta < continuation_width(model.delta, model.d):
         raise ValueError("eta must lie in (0, continuation width)")
@@ -342,17 +346,19 @@ def pole_probe(
     if xs.size < 2:
         raise ValueError("x_step leaves no contour cell in (-eta, eta)")
     nu, res0 = model.pushforward, residue_at_zero(model)
-    z = xs + 1j * np.array([[1e-4], [1e-3], [1e-2]])  # Im z != 0, so res0 / z is finite
-    samples = np.abs(transform(nu, z + model.delta) - res0 / z)
-    max_abs = float(samples.max())
-    baseline = float(np.median(samples[-1]))
-    blowup = max_abs > 20.0 * (baseline + 1e-12) and max_abs > 1e-6
-
     below = RealLineMeasure(tuple(a for a in nu.atoms if a.location != model.delta), nu.pieces)
     cells = np.abs(np.diff(cumulative_mass(below, model.delta + xs)))
     k = int(np.argmax(cells))
     max_contour = float(cells[k])
     contour_detected = max_contour > 1e-6
+
+    # the grid, then PROBE_CELL_POINTS across the winning cell, where the mass sits
+    x = np.concatenate([xs, np.linspace(xs[k], xs[k + 1], PROBE_CELL_POINTS)])
+    z = x + 1j * np.array([[1e-4], [1e-3], [1e-2]])  # Im z != 0, so res0 / z is finite
+    samples = np.abs(transform(nu, z + model.delta) - res0 / z)
+    max_abs = float(samples.max())
+    baseline = float(np.median(samples[-1, : xs.size]))
+    blowup = max_abs > 20.0 * (baseline + 1e-12) and max_abs > 1e-6
     failed = blowup and contour_detected
     return PoleProbeReport(
         passed=not failed,

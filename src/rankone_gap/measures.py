@@ -133,14 +133,16 @@ class RealLineMeasure:
         return min(xs), max(xs)
 
     def distance_to_support(self, z) -> np.ndarray:
-        """Euclidean distance from complex point(s) to the support closure."""
+        """Euclidean distance from complex point(s) to the support closure;
+        inf where it exceeds the largest float."""
         z = np.asarray(z, dtype=complex)
         dist = np.full(z.shape, np.inf)
         for a in self.atoms:
             dist = np.minimum(dist, np.abs(z - a.location))
         for p in self.pieces:
             dx = np.maximum(np.maximum(p.lo - z.real, z.real - p.hi), 0.0)
-            dist = np.minimum(dist, np.hypot(dx, z.imag))
+            with np.errstate(over="ignore"):
+                dist = np.minimum(dist, np.hypot(dx, z.imag))
         return dist
 
     def total_variation_bound(self) -> float:

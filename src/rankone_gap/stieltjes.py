@@ -43,6 +43,14 @@ def _moments(a, count: int):
     return np.where(jk % 2 == 0, 2.0 / (jk + 1), 0.0) @ np.asarray(a)
 
 
+def halved_quotient(w, u):
+    """w / u for complex u up to the largest float in each part: the complex
+    division adds |Re u| and |Im u|, which overflows past half of it, so both
+    are halved first; that scaling is exact and leaves every bit of the
+    quotient as it was."""
+    return (0.5 * w) / (0.5 * u)
+
+
 def cauchy_density_integral(coeffs, lo: float, hi: float, z):
     """int p(t)/(z - t) dt over [lo, hi] for p(t) = sum coeffs[k] t**k, in
     closed form, for an array ``z`` off the segment.
@@ -59,17 +67,18 @@ def cauchy_density_integral(coeffs, lo: float, hi: float, z):
     m, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
     a = _midpoint_coeffs(coeffs, m, h)
     deg = len(a) - 1
-    s = (np.asarray(z, dtype=complex) - m) / h
-    out = np.empty(s.shape, dtype=complex)
-    # the closed form loses (deg + 1) |s|**deg ulps; keep that below (deg + 1) 2**10
-    radius = 2.0 ** (10 / deg) if deg > 0 else np.inf
-    far = np.abs(s) > radius
+    u = np.asarray(z, dtype=complex) - m  # s = u / h, taken near the piece only
+    out = np.empty(u.shape, dtype=complex)
+    # the closed form loses (deg + 1) |s|**deg ulps; keep that below (deg + 1) 2**10.
+    # At degree 0 it loses nothing, but s must stay below the largest float
+    radius = 2.0 ** (10 / deg) if deg > 0 else 2.0**1000
+    far = np.abs(u) > radius * h
     if far.any():
         moments = _moments(a, int(39.2 / np.log(radius)) + 2)  # radius**-j < 1e-17
-        r = 1 / s[far]
+        r = halved_quotient(h, u[far])  # 1 / s
         out[far] = r * np.polynomial.polynomial.polyval(r, moments)
     near = ~far
-    sn = s[near]
+    sn = u[near] / h
     b = np.full(sn.shape, a[-1])
     int_q = np.zeros(sn.shape, dtype=complex)
     for k in range(deg - 1, -1, -1):  # b runs through Q's coefficients, then A(s)
@@ -94,7 +103,7 @@ def transform(nu: RealLineMeasure, z):
         raise SingularPointError(f"evaluation point {bad} is on the support")
     out = np.zeros(z.shape, dtype=complex)
     for atom in nu.atoms:
-        out += atom.weight / (z - atom.location)
+        out += halved_quotient(atom.weight, z - atom.location)
     for piece in nu.pieces:
         out += cauchy_density_integral(piece.coeffs, piece.lo, piece.hi, z)
     return out[()]

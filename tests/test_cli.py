@@ -22,7 +22,7 @@ from rankone_gap import (
     laplace_numeric,
     nonvanishing_scan,
 )
-from rankone_gap.cli import run
+from rankone_gap.cli import build_parser, named, run
 
 
 DOC = "<document>"
@@ -520,6 +520,48 @@ def test_cfun_bytes_unchanged(case, monkeypatch):
     K-type entry of 10**6, values near singular points, and errors."""
     monkeypatch.setenv("COLUMNS", "80")
     assert run_captured(case["argv"]) == (case["code"], case["out"], case["err"])
+
+
+def test_far_field_transform_prints_its_value(tmp_path):
+    """At z = 1e308, (z - m) / h of a density of half-width 1/2 is past the
+    largest float; the transform, about 2 / z, is not."""
+    path = tmp_path / "measure.json"
+    path.write_text(json.dumps({"atoms": [{"t": 0.5, "w_re": 1.0, "w_im": 0.0}],
+                                "densities": [{"a": 1.0, "b": 2.0, "coeffs_re": [1.0]}]}))
+    argv = ["stieltjes", "transform", "--model", str(path), "--z-re", "1e308", "--z-im", "0"]
+    assert run_captured(argv) == (0, '{"schema":"rankone-gap/1","re":2e-308,"im":0.0}\n', "")
+
+
+GOLDEN_ARGV = [case["argv"] for case in USAGE_CASES + WEIGHT_CASES + MODEL_CASES + CFUN_GOLDEN]
+
+
+def parsed(parser, argv):
+    """``vars`` of the namespace, or the exit code, stdout and stderr of the
+    SystemExit that parsing ``argv`` raises."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", GOLDEN_ARGV, ids=lambda argv: " ".join(argv) or "(none)")
+def test_command_parser_parses_like_the_group_parser(argv, monkeypatch):
+    """The parser ``run`` builds, with the options of the named command only,
+    gives what the parser with every command of the group gives."""
+    monkeypatch.setenv("COLUMNS", "80")
+    group, cmd = named(argv)
+    assert parsed(build_parser(group, cmd), argv) == parsed(build_parser(group), argv)
+
+
+def test_golden_argv_mostly_name_a_command():
+    """The parser-equivalence cases exercise the command-only parser: every
+    golden argv but the help, usage and error paths of the usage file names
+    a command."""
+    whole_group = [argv for argv in GOLDEN_ARGV if named(argv)[1] is None]
+    assert len(whole_group) == 18
+    assert all(argv in [case["argv"] for case in USAGE_CASES] for argv in whole_group)
 
 
 def test_large_entry_scan_costs_like_a_small_one():

@@ -428,6 +428,29 @@ class TestPoleProbe:
         assert not report.passed
         assert abs(report.pole_location - (-0.05)) <= 1e-3
 
+    def test_atom_mid_cell_of_a_coarse_grid_fails_and_locates(self):
+        # the grid points nearest the atom are 5e-3 away, where |G| peaks at 100,
+        # under 20 times the median at height 1e-2; the cell's midpoint sits on it
+        model = atom_model(2, 1.5, [(1.5, 1.0), (1.455, 0.5)])
+        report = pole_probe(model, 0.1, x_step=0.01)
+        assert not report.passed and report.blowup_detected
+        assert abs(report.pole_location - (-0.045)) <= 0.005
+
+    def test_small_residue_between_grid_points_fails_and_locates(self):
+        # c(s) = 0.5337 - 0.2496 s nearly vanishes at the planted atom 2.1303, so its
+        # residue is 0.00195: |G| above the grid peaks at 5.78, under 20 times the
+        # median at height 1e-2, and only the samples across the cell see it
+        atoms = [(1.829, 0.7323), (1.859, 0.8139), (2.1303, 0.9862), (2.183, 0.9506 - 0.2319j)]
+        density = (1.52, 1.984, (1.2807 - 0.7677j, -0.3946068548387097 + 0.18457661290322583j,
+                                 -0.11810715563215402 + 0.04824381341050989j))
+        model = SpectralModel(d=3, delta=2.183, channels=(
+            Channel(validate(3, (0,)), RealLineMeasure(atoms=tuple(atoms), pieces=(density,)),
+                    (0.5337, -0.2496)),))
+        report = pole_probe(model, 0.1)
+        assert report.max_contour == pytest.approx(0.9862 * (0.5337 - 0.2496 * 2.1303), rel=1e-9)
+        assert not report.passed and report.blowup_detected
+        assert abs(report.pole_location - (2.1303 - 2.183)) <= 1e-3
+
     def test_empty_model_passes(self):
         report = pole_probe(SpectralModel(d=2, delta=1.5), 0.1)
         assert report.passed and report.max_abs == 0.0

@@ -15,7 +15,7 @@ from rankone_gap import (
     vanishing_detector,
 )
 
-from rankone_gap.stieltjes import TOL_CONVERGED
+from rankone_gap.stieltjes import TOL_CONVERGED, halved_quotient
 
 from oracle_numerics import adaptive_levels, rectangle_contour_sum
 
@@ -111,6 +111,26 @@ class TestTransform:
             # the reference cancels ~|z|**deg in t; 150 digits cover it
             ref = mp_transform(nu, z, dps=150)
             assert transform(nu, z) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("coeffs", [(1.0,), (1.0, -0.5, 0.25j)])
+    @pytest.mark.parametrize("z", [1e308, -1.7e308, 1e308 + 1e308j, -1.7e308 + 1.7e308j,
+                                   1e-300 + 1e308j, 1e300 + 0j])
+    def test_far_field_near_the_largest_float(self, coeffs, z):
+        # the value, about 2 / z, is representable even where |z| or (z - m) / h is not;
+        # the reference cancels terms of about |z|**2 times the value, partly inside its
+        # logarithms, so it takes 1300 digits
+        nu = RealLineMeasure(atoms=((0.5, 1.0),), pieces=((1.0, 2.0, coeffs),))
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            value = transform(nu, z)
+        assert value == pytest.approx(mp_transform(nu, z, dps=1300), rel=1e-12, abs=1e-321)
+
+    def test_halved_quotient_keeps_every_bit(self):
+        rng = np.random.default_rng(19)
+        u = rng.standard_normal(4000) * 10.0 ** rng.uniform(-200, 200, 4000) + 1j * (
+            rng.standard_normal(4000) * 10.0 ** rng.uniform(-200, 200, 4000))
+        u[:500] = u[:500].real
+        for w in (1.0, 0.7 - 0.3j, 1e-5j):
+            assert np.array_equal(halved_quotient(w, u), w / u)
 
     def test_vectorized(self):
         zs = np.array([2.0 + 0j, 1j, -3.0 + 0.5j])
