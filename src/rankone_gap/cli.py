@@ -1,53 +1,30 @@
 """Command-line interface: one binary exposing every module as subcommands.
 
 Every subcommand is declared once, in ``COMMANDS`` (group -> subcommand ->
-options); ``run`` builds the options of the named subcommand only and
-dispatches through ``HANDLERS``.  Float options and the parts of
-``--z-grid`` must be finite.  Numeric output carries 15 significant digits;
-JSON documents are emitted in compact form with a schema tag, CSV tables in
-one write, and identical argv (plus seed) always yields byte-identical
-output.  Exit codes: 0 success/PASS, 1 FAIL verdicts, 2 usage or input
-errors (one ``error:`` line on stderr, no traceback).
+options); ``run`` builds the parsers of the named group and subcommand only
+and dispatches through ``HANDLERS``.  ``duals``, ``ktype`` and ``gap params``
+run without numpy: only the handlers marked ``numeric`` load it, with the
+C-function, measure, Stieltjes and Laplace modules they call.  Float options
+and the parts of ``--z-grid`` must be finite.  Numeric output carries 15
+significant digits; JSON documents are emitted in compact form with a schema
+tag, CSV tables in one write, and identical argv (plus seed) always yields
+byte-identical output.  Exit codes: 0 success/PASS, 1 FAIL verdicts, 2 usage
+or input errors (one ``error:`` line on stderr, no traceback).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 
-import numpy as np
-
-from . import (
-    GapParameters,
-    HighestWeight,
-    RealLineMeasure,
-    SpectralModel,
-    WeightError,
-    branching_set,
-    cfunction_expr,
-    correlation,
-    compare_numeric_closed,
-    dimension,
-    dual,
-    enumerate_ktypes_containing,
-    evaluate,
-    halfopen_grid,
-    invert_interval,
-    laplace_numeric,
-    minimal_ktypes,
-    minimality_norm,
-    nonvanishing_scan,
-    pole_probe,
-    rank_test,
-    spectral_gap_verdict,
-    transform,
-    vanishing_detector,
-    witness_ktype,
-)
-from .quadrature import QuadratureError
-from .wire import as_list, as_object, as_objects, real
+from .gaps import GapParameters, spectral_gap_verdict
+from .ktypes import minimal_ktypes, minimality_norm, witness_ktype
+from .weights import (HighestWeight, WeightError, branching_set, dimension, dual,
+                      enumerate_ktypes_containing)
+from .wire import QuadratureError, as_list, as_object, as_objects, real
 
 SCHEMA = "rankone-gap/1"
 
@@ -70,6 +47,8 @@ def round15(obj):
 def emit_csv(header: str, columns) -> None:
     """Write a CSV table from its equal-length columns with one write: floats
     as ``%.15g`` (the digits of ``fmt``), strings as they are."""
+    import numpy as np
+
     columns = [np.asarray(col) for col in columns]
     width, n = len(columns), len(columns[0])
     line = ",".join("%s" if col.dtype.kind == "U" else "%.15g" for col in columns)
@@ -107,6 +86,8 @@ finite.__name__ = "float"  # argparse names it in "invalid float value: 'x'"
 
 def parse_zgrid(spec: str):
     """'lo:hi:n' or 'lo:hi:n:im' -> complex grid along a horizontal line."""
+    import numpy as np
+
     parts = spec.split(":")
     if len(parts) not in (3, 4):
         raise ValueError("z-grid must be lo:hi:n or lo:hi:n:im")
@@ -167,20 +148,21 @@ COMMANDS = {
 def build_parser(group: str | None, cmd: str | None = None) -> argparse.ArgumentParser:
     """The top-level parser with subcommands for ``group`` only, and of those
     the options of ``cmd`` only (of every command when ``cmd`` is None).  Every
-    other group and command is a bare name, which is all that the usage and
-    errors of the levels above it show."""
+    other group and command is only a key of its level's choices, with no
+    parser: the usage and errors of that level show its name, and ``named``
+    sees to it that argparse never dispatches to it."""
     top = argparse.ArgumentParser(prog="rankone-gap")
     top.add_argument("--workers", type=int, help="accepted; has no effect")
     top.add_argument("--seed", type=int, default=0, help="accepted; has no effect")
     groups = top.add_subparsers(dest="group", required=True)
     for name, commands in COMMANDS.items():
         if name != group:
-            groups.add_parser(name, add_help=False)
+            groups.choices[name] = None
             continue
         subs = groups.add_parser(name).add_subparsers(dest="cmd", required=True)
         for command, options in commands.items():
             if cmd is not None and command != cmd:
-                subs.add_parser(command, add_help=False)
+                subs.choices[command] = None
                 continue
             p = subs.add_parser(command)
             for flag, kwargs in options:
@@ -202,12 +184,25 @@ def named(argv) -> tuple[str | None, str | None]:
     return None, None
 
 
-def _load_model(path: str) -> SpectralModel:
+def numeric(handler):
+    """``handler`` run with numpy's floating-point errors raised: an overflow
+    or invalid value is an input error, not a warning.  Only these handlers
+    load numpy."""
+
+    @functools.wraps(handler)
+    def guarded(args) -> int:
+        import numpy as np
+
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return handler(args)
+
+    return guarded
+
+
+def _load_model(path: str):
+    from .laplace import SpectralModel
+
     return SpectralModel.from_json(load_json(path))
-
-
-def _load_measure(path: str) -> RealLineMeasure:
-    return RealLineMeasure.from_json(load_json(path))
 
 
 def _cmd_duals(args) -> int:
@@ -254,7 +249,10 @@ def _cmd_ktype(args) -> int:
     return 0 if report.is_minimal_over_bound else 1
 
 
+@numeric
 def _cmd_cfun(args) -> int:
+    from .cfunction import cfunction_expr, evaluate, halfopen_grid, nonvanishing_scan
+
     sigma = parse_weight(args.d, args.sigma)
     if args.cmd == "expr":
         tau = parse_weight(args.d + 1, args.tau)
@@ -291,13 +289,22 @@ def _cmd_gap(args) -> int:
         params = GapParameters.from_gap(args.kappa_gamma, args.d, args.delta)
         emit_json(params.to_json())
         return 0
+    return _gap_verdict(args)
+
+
+@numeric
+def _gap_verdict(args) -> int:
     report = spectral_gap_verdict(_load_model(args.model))
     emit_json(report.to_json())
     return 0 if report.verdict else 1
 
 
+@numeric
 def _cmd_stieltjes(args) -> int:
-    nu = _load_measure(args.model)
+    from .measures import RealLineMeasure
+    from .stieltjes import invert_interval, transform, vanishing_detector
+
+    nu = RealLineMeasure.from_json(load_json(args.model))
     if args.cmd == "transform":
         value = transform(nu, complex(args.z_re, args.z_im))
         emit_json({"re": value.real, "im": value.imag})
@@ -319,7 +326,12 @@ def _cmd_stieltjes(args) -> int:
     return 0 if report.verdict != "inconclusive" else 1
 
 
+@numeric
 def _cmd_sim(args) -> int:
+    import numpy as np
+
+    from .laplace import compare_numeric_closed, correlation, laplace_numeric, pole_probe, rank_test
+
     if args.cmd == "rank":
         rows = as_list(load_json(args.q)["rows"], "rows")
         q = [[complex(real(c["re"]), real(c["im"])) for c in as_objects(r, "row")] for r in rows]
@@ -361,12 +373,13 @@ def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = build_parser(*named(argv)).parse_args(argv)
-        # a numpy overflow or invalid value is an input error, not a warning
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return HANDLERS[args.group](args)
+        return HANDLERS[args.group](args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ValueError, OSError, KeyError, ArithmeticError, MemoryError, QuadratureError) as err:
+    except KeyError as err:  # a document without a required key
+        print(f"error: missing key {err}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError, ArithmeticError, MemoryError, QuadratureError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .wire import QuadratureError
+
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1] (positive half;
 # the rule is symmetric).  Gauss nodes are the odd-index Kronrod nodes.
 _XGK_HALF = np.array(
@@ -57,10 +59,6 @@ _GW = np.zeros(15)
 _GW[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 GAUSS_WEIGHTS = _GW
 INIT_PANELS = 32
-
-
-class QuadratureError(RuntimeError):
-    """Panel budget exhausted, or an integrand value that is not finite."""
 
 
 @dataclass

@@ -2,12 +2,18 @@
 
 A document whose nodes have the wrong JSON type raises ValueError here, where
 it is read, instead of a TypeError or AttributeError deep in a constructor.
+``QuadratureError`` lives here, with no numpy behind it, so that the CLI can
+catch it without loading the numerics.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import zip_longest
+
+
+class QuadratureError(RuntimeError):
+    """Panel budget exhausted, or an integrand value that is not finite."""
 
 
 def as_object(value, what: str) -> dict:

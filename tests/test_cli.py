@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import functools
 import io
 import json
 import math
@@ -22,7 +24,7 @@ from rankone_gap import (
     laplace_numeric,
     nonvanishing_scan,
 )
-from rankone_gap.cli import build_parser, named, run
+from rankone_gap.cli import COMMANDS, build_parser, named, run
 
 
 DOC = "<document>"
@@ -189,6 +191,30 @@ class TestInputErrors:
         path.write_text(json.dumps(doc))
         self.assert_input_error(capsys, with_doc(argv, str(path)))
 
+    @pytest.mark.parametrize(
+        "doc, argv, key",
+        [
+            ({"delta": 1.5}, ["gap", "verdict", "--model", DOC], "d"),
+            ({"atoms": [{"w_re": 1.0}]}, TRANSFORM_ARGV, "t"),
+            ({}, ["sim", "rank", "--q", DOC], "rows"),
+        ],
+    )
+    def test_missing_key_is_named(self, capsys, tmp_path, doc, argv, key):
+        # printed as a bare "error: 'd'"
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        err = self.assert_input_error(capsys, with_doc(argv, str(path)))
+        assert err == f"error: missing key {key!r}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["stieltjes", "detect", "--model", MEASURE, "--a=1e+308", "--b=-1e+308"],
+        ["sim", "laplace", "--model", MODEL, "--z-grid=-1e308:1e308:3"],
+    ])
+    def test_numpy_overflow_is_an_input_error(self, capsys, tmp_path, argv):
+        # numpy only warns on overflow; the handlers that load it raise it
+        err = self.assert_input_error(capsys, with_docs(argv, tmp_path))
+        assert err == "error: overflow encountered in subtract\n"
+
     def test_gap_params_domain(self, capsys):
         self.assert_input_error(capsys, ["gap", "params", "--kappa-gamma", "inf", "--d", "2"])
         self.assert_input_error(capsys, ["gap", "params", "--kappa-gamma", "1", "--d", "0"])
@@ -213,24 +239,24 @@ class TestInputErrors:
         self.assert_input_error(capsys, with_docs(argv, tmp_path))
 
     def test_memory_error(self, capsys, tmp_path, monkeypatch):
-        import rankone_gap.cli as cli
+        import rankone_gap.laplace as laplace
 
         def fail(*args, **kwargs):
             raise MemoryError("Unable to allocate 7.28 TiB for an array")
 
-        monkeypatch.setattr(cli, "correlation", fail)
+        monkeypatch.setattr(laplace, "correlation", fail)
         argv = ["sim", "correlate", "--model", MODEL, "--t-max", "1e9", "--dt", "1e-3"]
         self.assert_input_error(capsys, with_docs(argv, tmp_path))
 
     def test_quadrature_error(self, capsys, tmp_path, monkeypatch):
-        import rankone_gap.cli as cli
+        import rankone_gap.stieltjes as stieltjes
         from rankone_gap.quadrature import QuadratureError
 
         def fail(*args, **kwargs):
             raise QuadratureError("panel budget exhausted")
 
-        monkeypatch.setattr(cli, "invert_interval", fail)
-        monkeypatch.setattr(cli, "vanishing_detector", fail)
+        monkeypatch.setattr(stieltjes, "invert_interval", fail)
+        monkeypatch.setattr(stieltjes, "vanishing_detector", fail)
         path = tmp_path / "measure.json"
         path.write_text(json.dumps(RealLineMeasure(atoms=((0.5, 1.0),)).to_json()))
         for cmd in ("invert", "detect"):
@@ -546,13 +572,81 @@ def parsed(parser, argv):
             return exc.code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("argv", GOLDEN_ARGV, ids=lambda argv: " ".join(argv) or "(none)")
+GAP_PARAMS = ["gap", "params", "--kappa-gamma", "1", "--d", "2"]
+SCAN = ["cfun", "scan", "--d", "3", "--sigma", "1"]
+EVAL = ["cfun", "eval", "--d", "2", "--sigma", "0", "--tau", "0", "--s", "2"]
+# option values, "--", prefixes and help around the group and command tokens
+EDGE_ARGV = [
+    ["--seed", "cfun", *GAP_PARAMS],
+    ["--seed", "3", *GAP_PARAMS],
+    ["gap", "--seed", "3", *GAP_PARAMS[1:]],
+    ["cfun", "--", *EVAL[1:]],
+    ["--", *GAP_PARAMS],
+    ["--workers", "1", *SCAN],
+    [*SCAN, "--workers", "3"],
+    ["--workers"],
+    ["gap", "params", "--kap", "1", "--d", "2"],
+    ["cfun", "scan", "--d=3", "--sigma", "1"],
+    ["cfun", "eval", "-h"],
+    ["gap", "-h"],
+    ["sim"],
+    ["bogus"],
+    ["-h", "cfun"],
+    ["cfun", "bogus"],
+    ["cfun", "eval", "cfun", "eval"],
+    [*EVAL, "cfun", "eval"],
+    ["duals", "dim", "--n", "2", "--entries", "1", "gap"],
+]
+
+
+@functools.cache
+def every_parser() -> argparse.ArgumentParser:
+    """The reference: one parser for every group and every command."""
+    top = argparse.ArgumentParser(prog="rankone-gap")
+    top.add_argument("--workers", type=int, help="accepted; has no effect")
+    top.add_argument("--seed", type=int, default=0, help="accepted; has no effect")
+    groups = top.add_subparsers(dest="group", required=True)
+    for name, commands in COMMANDS.items():
+        subs = groups.add_parser(name).add_subparsers(dest="cmd", required=True)
+        for command, options in commands.items():
+            p = subs.add_parser(command)
+            for flag, kwargs in options:
+                p.add_argument(flag, **kwargs)
+    return top
+
+
+@pytest.mark.parametrize("argv", GOLDEN_ARGV + EDGE_ARGV, ids=lambda argv: " ".join(argv) or "(none)")
 def test_command_parser_parses_like_the_group_parser(argv, monkeypatch):
     """The parser ``run`` builds, with the options of the named command only,
-    gives what the parser with every command of the group gives."""
+    gives what the parser with every command of the group gives, and what a
+    parser with every group and command gives.  A group or command that is
+    only a name has no parser, so dispatching to one would raise
+    AttributeError here."""
     monkeypatch.setenv("COLUMNS", "80")
     group, cmd = named(argv)
-    assert parsed(build_parser(group, cmd), argv) == parsed(build_parser(group), argv)
+    expected = parsed(every_parser(), argv)
+    assert parsed(build_parser(group), argv) == expected
+    assert parsed(build_parser(group, cmd), argv) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["duals", "dim", "--n", "8", "--entries", "4,4,3,-2"],
+    ["ktype", "witness", "--d", "3", "--sigma", "2"],
+    GAP_PARAMS,
+    EVAL,
+])
+def test_named_command_builds_three_parsers(argv, monkeypatch, capsys):
+    """The top level, the group and the command: no parser for a sibling."""
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run(argv) == 0
+    assert progs == ["rankone-gap", f"rankone-gap {argv[0]}", f"rankone-gap {argv[0]} {argv[1]}"]
 
 
 def test_golden_argv_mostly_name_a_command():
