@@ -11,8 +11,9 @@ the oscillatory factor keeping tests honest about the absence of positivity;
 f is a closed form.  Its Laplace transform F(z) = int_0^inf exp(-(z+delta-d)t)
 f(t) dt is computed two ways: the module's one quadrature, in t, with an
 analytic tail bound, and the closed channel sum  B(z) = sum int c(s)/(z+delta-s)
-dm(s)  whose only pole in the probe strip, after subtracting the mass at
-delta, would come from spectral mass strictly below delta.
+dm(s)  whose only singularities in the probe strip, after subtracting the
+mass at delta, come from spectral mass strictly below delta.  The integrand
+in t is entire, so the quadrature's error bound is proved a priori.
 
 Every channel quantity (the correlation, the tail bound, the closed sum, the
 residue at z = 0 and the pole probe's cells) reads one measure, the pushforward
@@ -24,7 +25,7 @@ theorem the probe's contour cells are masses of nu, with no contour quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -225,15 +226,41 @@ class LaplaceResult:
     truncation_bound: object  # float ndarray or np.float64
 
 
+def _ellipse_max(model: SpectralModel, z, mid, half, rho):
+    """Bound on |correlation(t) exp(-(w - d) t)|, w = z + delta, on the
+    Bernstein ellipse with foci mid -+ half and semi-axes half a, half b,
+    a, b = (rho +- 1/rho) / 2, in the shape of z followed by (P, K).
+
+    There |exp(-beta t)| peaks at exp(half |(a Re beta, b Im beta)| - Re beta
+    mid).  An atom (s, c) of nu adds |c| times that peak at beta = w - s, a
+    piece its variation bound times the larger peak at its ends (monotone in
+    s), and the tempered term R (1 + |mid| + half a) cosh(half b) times it at w - d/2."""
+    a, b, w = (rho + 1 / rho) / 2, (rho - 1 / rho) / 2, (z + model.delta)[..., None, None]
+
+    def peak(beta):
+        return np.exp(half * np.hypot(a * beta.real, b * beta.imag) - beta.real * mid)
+
+    out = np.zeros(np.broadcast_shapes(w.shape, mid.shape, rho.shape))
+    for atom in model.pushforward.atoms:
+        out += abs(atom.weight) * peak(w - atom.location)
+    for p in model.pushforward.pieces:
+        out += p.variation_bound() * np.maximum(peak(w - p.lo), peak(w - p.hi))
+    if model.tempered_amplitude > 0:
+        out += (model.tempered_amplitude * (1 + np.abs(mid) + half * a) * np.cosh(half * b)
+                * peak(w - 0.5 * model.d))
+    return out
+
+
 def laplace_numeric(model: SpectralModel, z, t_max: float = 80.0) -> LaplaceResult:
     """Truncated quadrature of the Laplace transform plus its tail bound.
 
-    ``z`` is a complex array of any shape (or a scalar); one quadrature in t
-    serves all of it, and both fields of the result take its shape.  Requires
-    Re z to the right of the pushforward measure's sup-support minus delta
-    (and of d/2 - delta when the tempered term is present) so the discarded
-    tail admits the reported bound, which includes the quadrature tolerance.
-    Raises QuadratureError when the quadrature does not reach that tolerance.
+    ``z`` is a complex array of any shape (or a scalar); one call of the
+    Gauss-Legendre rule in t serves all of it, each point on the panels its
+    own proved bound asks for, and both fields of the result take its shape.
+    Requires Re z to the right of the pushforward measure's sup-support minus
+    delta (and of d/2 - delta when the tempered term is present) so the
+    discarded tail admits the reported bound, which adds the tolerance the
+    rule proves.  Raises QuadratureError before any evaluation if it cannot.
     """
     if not t_max > 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
@@ -244,7 +271,8 @@ def laplace_numeric(model: SpectralModel, z, t_max: float = 80.0) -> LaplaceResu
     bound = truncation_bound(model, z, t_max) + tol
     exponent = z + model.delta - model.d
     res = integrate_adaptive(
-        lambda t: correlation(model, t) * np.exp(-exponent[..., None] * t), 0.0, t_max, tol=tol)
+        lambda t: correlation(model, t) * np.exp(-exponent[..., None] * t), 0.0, t_max, tol,
+        lambda mid, half, rho: _ellipse_max(model, z, mid, half, rho))
     if not res.converged:
         raise QuadratureError(f"quadrature in t did not reach tolerance {tol:g} on [0, {t_max:g}]")
     return LaplaceResult(res.value, bound)
@@ -305,14 +333,7 @@ class PoleProbeReport:
     max_contour: float
 
     def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "blowup_detected": self.blowup_detected,
-            "contour_detected": self.contour_detected,
-            "pole_location": self.pole_location,
-            "max_abs": self.max_abs,
-            "max_contour": self.max_contour,
-        }
+        return asdict(self)
 
 
 def pole_probe(
@@ -323,20 +344,21 @@ def pole_probe(
     """Probe the subtracted transform G(z) = B(z) - residue/z on |Re z| < eta;
     both terms read one pushforward measure nu.
 
-    After removing the simple pole carried by the mass at delta, any channel
-    mass strictly inside (delta - eta, delta) leaves a singularity on the
-    negative real axis.  A pole is declared only when |G| blows up near a
-    grid point AND a contour cell between consecutive grid points fails to
-    vanish; the winning cell's center locates the pole to the grid
-    resolution.  By the residue theorem a cell's contour sum |int G dz| / 2 pi
-    is the mass over the cell of nu less its atom at delta: a difference of
-    ``cumulative_mass`` at the edges delta + x, so an atom on an edge counts
-    half in each neighbour.  A cell fails to vanish above 1e-6.  |G| is
-    sampled at heights 1e-4, 1e-3 and 1e-2 above the grid and above
+    After removing the simple pole carried by the mass at delta, an atom of nu
+    strictly inside (delta - eta, delta) leaves a pole on the negative real
+    axis and a density piece there a cut, which passes unless |G| blows up near
+    it, though its cells count as contour mass.  A pole is declared only when
+    |G| blows up near a grid point AND a contour cell between consecutive grid
+    points fails to vanish; the winning cell's center locates the pole to the
+    grid resolution.  By the residue theorem a cell's contour sum
+    |int G dz| / 2 pi is the mass over the cell of nu less its atom at delta: a
+    difference of ``cumulative_mass`` at the edges delta + x, so an atom on an
+    edge counts half in each neighbour.  A cell fails to vanish above 1e-6.
+    |G| is sampled at heights 1e-4, 1e-3 and 1e-2 above the grid and above
     ``PROBE_CELL_POINTS`` evenly spaced points across the winning cell, so a
     small residue between grid points is seen from within x_step / 32.  It
-    blows up when its peak exceeds 1e-6 and 20 times the median over the
-    grid at 1e-2.
+    blows up when its peak exceeds 1e-6 and 20 times the median over the grid
+    at 1e-2.
     """
     if not 0 < eta < continuation_width(model.delta, model.d):
         raise ValueError("eta must lie in (0, continuation width)")

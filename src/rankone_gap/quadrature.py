@@ -1,64 +1,29 @@
-"""Shared numerical kernels: adaptive Gauss-Kronrod quadrature and one
-first-order Richardson sweep.
+"""A composite Gauss-Legendre rule whose error bound is proved a priori.
 
-The quadrature serves ``laplace_numeric``, where one subdivision in t
-integrates a whole batch of z points: integrands receive a flat array of
-abscissae and may return either a matching array or a stack of component
-rows (any leading axes).  Panels are processed breadth-first, one numpy call
-per generation, so the Python cost grows with the depth of the subdivision,
-not with the number of panels.  A result is a value and a ``converged`` flag.
+It serves ``laplace_numeric``: one call integrates a batch of rows, each on
+the fewest uniform panels whose proved bound meets the tolerance, so a
+refusal is decided from the bound alone, before any evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .wire import QuadratureError
 
-# 15-point Kronrod extension of 7-point Gauss on [-1, 1] (positive half;
-# the rule is symmetric).  Gauss nodes are the odd-index Kronrod nodes.
-_XGK_HALF = np.array(
-    [
-        0.9914553711208126,
-        0.9491079123427585,
-        0.8648644233597691,
-        0.7415311855993944,
-        0.5860872354676911,
-        0.4058451513773972,
-        0.2077849550078985,
-        0.0,
-    ]
-)
-_WGK_HALF = np.array(
-    [
-        0.0229353220105292,
-        0.0630920926299786,
-        0.1047900103222502,
-        0.1406532597155259,
-        0.1690047266392679,
-        0.1903505780647854,
-        0.2044329400752989,
-        0.2094821410847278,
-    ]
-)
-_WG_HALF = np.array(
-    [
-        0.1294849661688697,
-        0.2797053914892767,
-        0.3818300505051189,
-        0.4179591836734694,
-    ]
-)
-
-# Full 15-node tables, ordered left to right.
-NODES = np.concatenate([-_XGK_HALF[:-1], _XGK_HALF[::-1]])
-KRONROD_WEIGHTS = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
-_GW = np.zeros(15)
-_GW[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
-GAUSS_WEIGHTS = _GW
-INIT_PANELS = 32
+NODES, WEIGHTS = np.polynomial.legendre.leggauss(24)
+# Bernstein ellipse parameters; RHO[0] = 1, the interval, sets the rounding term
+RHO = np.concatenate([[1.0], 2.0 ** (np.arange(1, 11) / 2)])
+# the rule's error on [-1, 1] per unit maximum on the ellipse E_rho (Trefethen,
+# Approximation Theory and Approximation Practice, Thm 19.3)
+_ELLIPSE_ERROR = 64 / 15 * RHO[1:] ** -48 / (RHO[1:] ** 2 - 1)
+COUNTS = tuple(2**k for k in range(18))  # the panel counts, bounded four at a time
+MAX_PANELS = COUNTS[-1]  # 3,145,728 nodes per row
+PROBE_PANELS = 2**12  # rows unsettled below it meet the cap's first chunk at once
+CHUNK = 4096  # panels per call of ellipse_max
 
 
 @dataclass
@@ -67,83 +32,83 @@ class QuadResult:
     converged: bool
 
 
-def integrate_adaptive(
-    f,
-    a: float,
-    b: float,
-    tol: float = 1e-9,
-) -> QuadResult:
-    """Adaptively integrate ``f`` over [a, b] to absolute tolerance ``tol``.
+def _panels(counts: tuple, panels: int | None = None):
+    """On [0, 1]: midpoints, half-widths and starts of each count's panels, cut at ``panels``."""
+    half = np.repeat(0.5 / np.array(counts), counts)[:panels]
+    mid = half * (2 * np.concatenate([np.arange(n) for n in counts])[:panels] + 1)
+    return mid, half, np.cumsum(counts) - counts
+
+
+def _rule(n: int):
+    """Nodes and weights on [0, 1] of the rule on ``n`` uniform panels."""
+    return ((NODES + 1) / 2 + np.arange(n)[:, None]).ravel() / n, np.tile(WEIGHTS, n) / (2 * n)
+
+
+# kept below CHUNK panels, where the numpy calls cost more than the arrays hold
+_small_panels, _small_rule = lru_cache(maxsize=None)(_panels), lru_cache(maxsize=None)(_rule)
+
+
+def _bound(ellipse_max, a: float, b: float, counts: tuple, panels: int | None = None):
+    """The proved bound on each of ``counts`` panels, in the shape of the rows
+    and then of ``counts``; over the first ``panels`` only, a lower bound."""
+    mid, half, starts = (_small_panels if counts[-1] < CHUNK else _panels)(counts, panels)
+    mid, half, out = a + (b - a) * mid, (b - a) * half, []
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range, inf or nan fails
+        for k in range(0, mid.size, CHUNK):
+            m = np.asarray(ellipse_max(mid[k:k + CHUNK, None], half[k:k + CHUNK, None], RHO))
+            out.append(half[k:k + CHUNK] * ((m[..., 1:] * _ELLIPSE_ERROR).min(axis=-1)
+                                            + np.finfo(float).eps * m[..., 0]))
+        return np.add.reduceat(np.concatenate(out, axis=-1), starts, axis=-1)
+
+
+def integrate_adaptive(f, a: float, b: float, tol: float, ellipse_max) -> QuadResult:
+    """Integrate ``f`` over [a, b] by the composite 24-node Gauss-Legendre
+    rule, each row to a proved error of at most ``tol``.
 
     ``f(x)`` takes a 1-d array of abscissae and returns an array whose LAST
-    axis matches ``x``; any leading axes are integrated componentwise, with
-    panel acceptance driven by the worst component.  [a, b] is first split
-    uniformly into ``INIT_PANELS`` panels.
-    Local acceptance uses the standard width-proportional budget
-    ``tol * (hi - lo) / (b - a)`` so accepted-panel errors sum below ``tol``.
-    Panels 2**-48 of the interval wide are accepted as they stand (the result
-    is then marked not converged); more than 200,000 panels in all, or a nan
-    or infinite integrand value, raise QuadratureError.
+    axis matches ``x``; each leading index is a row.  ``ellipse_max(mid, half,
+    rho)``, for ``mid`` and ``half`` of shape (P, 1) and ``rho`` of shape (K,),
+    returns the rows' axes and then (P, K): bounds M of |f| on the Bernstein
+    ellipses with foci mid -+ half and semi-axes half (rho +- 1/rho) / 2, no
+    larger on a panel's halves than on the panel.  A panel's error is then at
+    most half (64/15) M rho**-48 / (rho**2 - 1), least over ``RHO``, plus the
+    rounding term eps half M(rho = 1) for the rule's sum (``tol`` must cover
+    the rounding in f's values).
+
+    Each row takes the first of ``COUNTS`` whose bound, summed over its
+    panels, is at most ``tol``; if some row has none, the result is not
+    converged and ``f`` is never called.  Otherwise ``f`` is called once, on
+    the union of the node sets in use, and each row is summed over its own
+    nodes, so its value does not depend on the other rows.  A nan or infinite
+    abscissa or integrand value raises QuadratureError.
     """
     if not b > a:
         raise ValueError("integration interval must satisfy a < b")
-    width = b - a
-    pts = np.linspace(a, b, INIT_PANELS + 1)
-    lo = pts[:-1].copy()
-    hi = pts[1:].copy()
+    counts = 0
+    for k in range(0, len(COUNTS), 4):
+        ns = COUNTS[k:k + 4]
+        # the cap's first chunk bounds its bound from below, and the bound
+        # never grows as the panels halve: a row it exceeds is refused at once
+        if ns[0] == PROBE_PANELS and not np.all(
+                (counts > 0) | (_bound(ellipse_max, a, b, COUNTS[-1:], CHUNK)[..., 0] <= tol)):
+            break
+        ok = _bound(ellipse_max, a, b, ns) <= tol
+        first = np.where(ok.any(axis=-1), np.take(ns, ok.argmax(axis=-1)), 0)
+        counts = np.where(counts > 0, counts, first)
+        if counts.all():
+            break
+    if not np.all(counts):
+        return QuadResult(None, converged=False)
 
-    total = None
-    panels_spent = 0
-    min_width = width * 2.0 ** (-48)
-    forced = False
-
-    while lo.size:
-        panels_spent += lo.size
-        if panels_spent > 200_000:
-            raise QuadratureError(f"adaptive quadrature exceeded 200000 panels on [{a}, {b}]")
-        with np.errstate(all="ignore"):  # the check below reports what would warn
-            mid = 0.5 * (lo + hi)
-            half = 0.5 * (hi - lo)
-            x = (mid[:, None] + half[:, None] * NODES[None, :]).ravel()
-            y = np.asarray(f(x))
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise QuadratureError(f"integrand is not finite on [{a}, {b}]")
-        y = y.reshape(y.shape[:-1] + (lo.size, 15))
-        k15 = (y * KRONROD_WEIGHTS).sum(axis=-1) * half
-        g7 = (y * GAUSS_WEIGHTS).sum(axis=-1) * half
-        err = np.abs(k15 - g7)
-        # panels are accepted on the worst component (0 for an empty stack)
-        worst = err.reshape(-1, lo.size).max(axis=0, initial=0.0) if err.ndim > 1 else err
-
-        budget = tol * (hi - lo) / width
-        done = worst <= budget
-        tiny = (hi - lo) <= min_width
-        if np.any(tiny & ~done):
-            forced = True
-            done = done | tiny
-
-        if np.any(done):
-            contrib = k15[..., done].sum(axis=-1)
-            total = contrib if total is None else total + contrib
-
-        lo_next = lo[~done]
-        hi_next = hi[~done]
-        mid_next = 0.5 * (lo_next + hi_next)
-        lo = np.concatenate([lo_next, mid_next])
-        hi = np.concatenate([mid_next, hi_next])
-
-    if total is None:
-        total = 0.0
-    return QuadResult(value=total, converged=not forced)
-
-
-def richardson_sweep(values):
-    """One first-order Richardson sweep on a sequence sampled at h, h/2, ...
-
-    For ``values[k] = L + c * h * 2**(-k) + o(h * 2**(-k))`` the sweep
-    ``2 * values[k+1] - values[k]`` removes the linear term.
-    """
-    v = np.asarray(values)
-    if v.shape[0] < 2:
-        raise ValueError("need at least two values to extrapolate")
-    return 2 * v[1:] - v[:-1]
+    in_use = np.unique(counts).tolist()
+    rules = [(_small_rule if n < CHUNK else _rule)(n) for n in in_use]
+    x = a + (b - a) * np.concatenate([np.empty(0)] + [nodes for nodes, _ in rules])
+    with np.errstate(all="ignore"):  # the check below reports what would warn
+        y = np.asarray(f(x))
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise QuadratureError(f"integrand is not finite on [{a}, {b}]")
+    value, start = np.zeros(y.shape[:-1], dtype=y.dtype), 0
+    for n, (_, w) in zip(in_use, rules):  # each row keeps the sum over its own count's nodes
+        value = np.where(counts == n, (y[..., start:start + w.size] * w).sum(axis=-1), value)
+        start += w.size
+    return QuadResult((b - a) * value[()], converged=True)

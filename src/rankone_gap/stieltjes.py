@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import RealLineMeasure, _midpoint_coeffs, interval_mass_exact
-from .quadrature import richardson_sweep
 
 TOL_SUPPORT = 1e-9
 TOL_CONVERGED = 1e-4
@@ -145,6 +144,18 @@ def _arg_potential(nu: RealLineMeasure, x, y) -> np.ndarray:
             tail = cauchy_density_integral(p, -1.0, 1.0, s).imag
             part += h * (p_plus * np.angle(s - 1) - p_minus * np.angle(s + 1) + tail)
     return out / np.pi
+
+
+def richardson_sweep(values):
+    """One first-order Richardson sweep on a sequence sampled at h, h/2, ...
+
+    For ``values[k] = L + c * h * 2**(-k) + o(h * 2**(-k))`` the sweep
+    ``2 * values[k+1] - values[k]`` removes the linear term.
+    """
+    v = np.asarray(values)
+    if v.shape[0] < 2:
+        raise ValueError("need at least two values to extrapolate")
+    return 2 * v[1:] - v[:-1]
 
 
 def _invert_cuts(nu: RealLineMeasure, cuts, y0: float, k_max: int):

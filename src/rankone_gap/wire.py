@@ -13,7 +13,8 @@ from itertools import zip_longest
 
 
 class QuadratureError(RuntimeError):
-    """Panel budget exhausted, or an integrand value that is not finite."""
+    """A proved error bound over tolerance within the panel cap, decided
+    before any evaluation, or an integrand value that is not finite."""
 
 
 def as_object(value, what: str) -> dict:

@@ -1,6 +1,8 @@
+import json
 import math
 from dataclasses import replace
 from functools import cached_property
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -658,6 +660,48 @@ class TestChannelMeasureOracle:
         assert residue_at_zero(model) == complex(ref)
 
 
+def golden_laplace_models():
+    """(model, t_max) of every ``sim laplace`` case of the CLI golden file."""
+    cases = json.loads((Path(__file__).parent / "cli_model_golden.json").read_text())
+    out = []
+    for case in cases:
+        argv = case["argv"]
+        if argv[:2] == ["sim", "laplace"]:
+            t_max = float(argv[argv.index("--t-max") + 1]) if "--t-max" in argv else 80.0
+            out.append((SpectralModel.from_json(case["document"]), t_max))
+    return out
+
+
+def mp_truncated_laplace(model, z, t_max):
+    """int_0^t_max f(t) exp(-(z + delta - d) t) dt at 30 digits, channel by
+    channel, the tempered term in closed form."""
+    with mpmath.workdps(30):
+        w, big_t = mpmath.mpc(z) + model.delta, mpmath.mpf(t_max)
+        total = mp_channel_sum(model, lambda s: (1 - mpmath.exp(-(w - s) * big_t)) / (w - s))
+        # R (1 + t) cos t exp(-(w - d/2) t), cos t split into exp(+-it)
+        for b in (w - mpmath.mpf(model.d) / 2 - 1j, w - mpmath.mpf(model.d) / 2 + 1j):
+            edge = mpmath.exp(-b * big_t) * ((1 + big_t) / b + 1 / b**2)
+            total += model.tempered_amplitude / 2 * (1 / b + 1 / b**2 - edge)
+    return complex(total)
+
+
+class TestProvedBound:
+    """The rule in t against 30-digit references of the truncated integral:
+    the error stays within the tolerance the reported bound adds."""
+
+    @pytest.mark.parametrize("z", [0.2, 0.5 + 0.5j, 1 - 2j, 2 + 10j, 0.3 + 40j])
+    def test_golden_models(self, z):
+        models = golden_laplace_models()
+        assert len(models) == 5
+        # the golden models are untempered; this one is tempered
+        for model, t_max in models + [(two_channel_model(), 20.0)]:
+            res = laplace_numeric(model, z, t_max=t_max)
+            size = model.pushforward.total_variation_bound() + model.tempered_amplitude
+            tol = max(1e-9, math.ulp(1.0) * size * t_max)
+            assert res.truncation_bound == truncation_bound(model, z, t_max) + tol
+            assert abs(res.value - mp_truncated_laplace(model, z, t_max)) <= tol
+
+
 class TestMainTermSeparation:
     def test_scaled_correlation_decays_at_channel_rate(self):
         # all support at delta - gamma with gamma = 0.3
@@ -740,12 +784,22 @@ class TestShapeContract:
         assert_shape(res.truncation_bound, z)
         assert np.all(res.value == flat.value.reshape(z.shape))
         assert np.all(res.truncation_bound == flat.truncation_bound.reshape(z.shape))
-        # the tail bound is a closed form; the value is one quadrature in t
-        # shared by the batch, so it agrees point by point to its tolerance
+        # the tail bound is a closed form, and each point of the one rule in t
+        # is summed over its own nodes: both equal point by point
         single = [laplace_numeric(model, w, t_max=20.0) for w in z.ravel()]
         assert np.all(res.truncation_bound == np.reshape([r.truncation_bound for r in single], z.shape))
-        values = np.reshape([r.value for r in single], z.shape)
-        assert np.allclose(res.value, values, rtol=0, atol=2e-9)
+        assert np.all(res.value == np.reshape([r.value for r in single], z.shape))
+
+    def test_laplace_numeric_does_not_depend_on_the_batch(self):
+        # z = 0.3 inside a 2x2 grid once moved by 1.1e-16 in its imaginary
+        # part, since panels were accepted on the batch's worst point
+        model = two_channel_model()
+        grids = [np.array([[0.3 + 0j, 1.0 + 0.5j], [0.2 - 0.7j, 2.0 + 1.0j]]),
+                 np.concatenate([np.linspace(0.2, 2, 9), [0.3 + 40j]])]
+        for grid in grids:
+            res = laplace_numeric(model, grid)
+            for w, value in zip(grid.ravel(), res.value.ravel()):
+                assert laplace_numeric(model, w).value == value
 
     def test_python_scalars_give_numpy_scalars(self):
         model = two_channel_model()

@@ -1,4 +1,5 @@
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import rankone_gap
+from rankone_gap import Channel, RealLineMeasure, SpectralModel, validate
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -45,3 +47,37 @@ def test_weight_and_gap_commands_run_without_numpy():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0.5"
+
+
+def test_benchmark_tracer_still_installs(tmp_path):
+    """``perfbench/tracer.py::install`` hooks the package's functions by name,
+    wraps the integrand, the first argument of ``quadrature.
+    integrate_adaptive``, and reads the result's ``converged``.  Under it a
+    ``sim laplace`` and a ``stieltjes invert`` still exit 0, and each
+    ``laplace_numeric`` call makes one quadrature call."""
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(SpectralModel(
+        d=2, delta=1.5, tempered_amplitude=0.3,
+        channels=(Channel(validate(2, (0,)), RealLineMeasure(
+            atoms=((1.5, 1.0), (1.2, 0.5)), pieces=((1.05, 1.25, (1.0, -0.5)),)), (1.0, 0.5)),),
+    ).to_json()))
+    measure = tmp_path / "measure.json"
+    measure.write_text(json.dumps(RealLineMeasure(atoms=((0.5, 1.0),), pieces=((0.2, 0.8, (1.0,)),)).to_json()))
+    code = f"""if True:
+        import contextlib, io
+        import rankone_gap.cli as cli
+        from perfbench import tracer as tr
+        tracer = tr.Tracer()
+        tr.install(tracer)
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.run(["sim", "laplace", "--model", {str(model)!r}, "--z-grid", "0.2:2:10"]),
+                     cli.run(["stieltjes", "invert", "--model", {str(measure)!r}, "--a", "0", "--b", "1"])]
+        per, _ = tracer.per_function()
+        calls = [per[f]["calls"] for f in ("quadrature.integrate_adaptive", "laplace.laplace_numeric")]
+        print(codes, calls, tracer.counts["quadrature.integrate_adaptive.evals"] > 0)
+    """
+    path = os.pathsep.join(filter(None, [str(SRC), str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] [1.0, 1.0] True"
