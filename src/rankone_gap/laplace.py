@@ -25,7 +25,7 @@ theorem the probe's contour cells are masses of nu, with no contour quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -333,7 +333,14 @@ class PoleProbeReport:
     max_contour: float
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {
+            "passed": self.passed,
+            "blowup_detected": self.blowup_detected,
+            "contour_detected": self.contour_detected,
+            "pole_location": self.pole_location,
+            "max_abs": self.max_abs,
+            "max_contour": self.max_contour,
+        }
 
 
 def pole_probe(

@@ -8,7 +8,6 @@ refusal is decided from the bound alone, before any evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -17,12 +16,12 @@ from .wire import QuadratureError
 NODES, WEIGHTS = np.polynomial.legendre.leggauss(24)
 # Bernstein ellipse parameters; RHO[0] = 1, the interval, sets the rounding term
 RHO = np.concatenate([[1.0], 2.0 ** (np.arange(1, 11) / 2)])
-# the rule's error on [-1, 1] per unit maximum on the ellipse E_rho (Trefethen,
-# Approximation Theory and Approximation Practice, Thm 19.3)
-_ELLIPSE_ERROR = 64 / 15 * RHO[1:] ** -48 / (RHO[1:] ** 2 - 1)
-COUNTS = tuple(2**k for k in range(18))  # the panel counts, bounded four at a time
+# the rule's error on [-1, 1] per unit maximum on the ellipse E_rho: n + 1 = 24
+# nodes give (64/15) rho**-2n / (rho**2 - 1) (Trefethen, Approximation Theory
+# and Approximation Practice, Thm 19.3)
+_ELLIPSE_ERROR = 64 / 15 * RHO[1:] ** -46 / (RHO[1:] ** 2 - 1)
+COUNTS = tuple(2**k for k in range(18))  # the panel counts a row may take
 MAX_PANELS = COUNTS[-1]  # 3,145,728 nodes per row
-PROBE_PANELS = 2**12  # rows unsettled below it meet the cap's first chunk at once
 CHUNK = 4096  # panels per call of ellipse_max
 
 
@@ -32,33 +31,25 @@ class QuadResult:
     converged: bool
 
 
-def _panels(counts: tuple, panels: int | None = None):
-    """On [0, 1]: midpoints, half-widths and starts of each count's panels, cut at ``panels``."""
-    half = np.repeat(0.5 / np.array(counts), counts)[:panels]
-    mid = half * (2 * np.concatenate([np.arange(n) for n in counts])[:panels] + 1)
-    return mid, half, np.cumsum(counts) - counts
+def _proved(ellipse_max, a: float, b: float, n: int, tol: float, settled):
+    """Whether the proved bound on ``n`` uniform panels of [a, b] is at most
+    ``tol``, in the shape of the rows.  The panels' bounds are summed a chunk
+    at a time and only while a row not yet ``settled`` is within ``tol``."""
+    half, total = (b - a) / (2 * n), 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range, inf or nan fails
+        for k in range(0, n, CHUNK):
+            mid = a + half * (2 * np.arange(k, min(n, k + CHUNK)) + 1.0)[:, None]
+            m = np.asarray(ellipse_max(mid, half, RHO))
+            total = total + half * ((m[..., 1:] * _ELLIPSE_ERROR).min(axis=-1)
+                                    + np.finfo(float).eps * m[..., 0]).sum(axis=-1)
+            if np.all(settled | ~(total <= tol)):  # the sum only grows
+                break
+    return total <= tol
 
 
 def _rule(n: int):
     """Nodes and weights on [0, 1] of the rule on ``n`` uniform panels."""
     return ((NODES + 1) / 2 + np.arange(n)[:, None]).ravel() / n, np.tile(WEIGHTS, n) / (2 * n)
-
-
-# kept below CHUNK panels, where the numpy calls cost more than the arrays hold
-_small_panels, _small_rule = lru_cache(maxsize=None)(_panels), lru_cache(maxsize=None)(_rule)
-
-
-def _bound(ellipse_max, a: float, b: float, counts: tuple, panels: int | None = None):
-    """The proved bound on each of ``counts`` panels, in the shape of the rows
-    and then of ``counts``; over the first ``panels`` only, a lower bound."""
-    mid, half, starts = (_small_panels if counts[-1] < CHUNK else _panels)(counts, panels)
-    mid, half, out = a + (b - a) * mid, (b - a) * half, []
-    with np.errstate(over="ignore", invalid="ignore"):  # past the float range, inf or nan fails
-        for k in range(0, mid.size, CHUNK):
-            m = np.asarray(ellipse_max(mid[k:k + CHUNK, None], half[k:k + CHUNK, None], RHO))
-            out.append(half[k:k + CHUNK] * ((m[..., 1:] * _ELLIPSE_ERROR).min(axis=-1)
-                                            + np.finfo(float).eps * m[..., 0]))
-        return np.add.reduceat(np.concatenate(out, axis=-1), starts, axis=-1)
 
 
 def integrate_adaptive(f, a: float, b: float, tol: float, ellipse_max) -> QuadResult:
@@ -67,45 +58,38 @@ def integrate_adaptive(f, a: float, b: float, tol: float, ellipse_max) -> QuadRe
 
     ``f(x)`` takes a 1-d array of abscissae and returns an array whose LAST
     axis matches ``x``; each leading index is a row.  ``ellipse_max(mid, half,
-    rho)``, for ``mid`` and ``half`` of shape (P, 1) and ``rho`` of shape (K,),
-    returns the rows' axes and then (P, K): bounds M of |f| on the Bernstein
-    ellipses with foci mid -+ half and semi-axes half (rho +- 1/rho) / 2, no
-    larger on a panel's halves than on the panel.  A panel's error is then at
-    most half (64/15) M rho**-48 / (rho**2 - 1), least over ``RHO``, plus the
-    rounding term eps half M(rho = 1) for the rule's sum (``tol`` must cover
-    the rounding in f's values).
+    rho)``, for ``mid`` of shape (P, 1), a float ``half`` and ``rho`` of shape
+    (K,), returns the rows' axes and then (P, K): bounds M of |f| on the
+    Bernstein ellipses with foci mid -+ half and semi-axes half (rho +- 1/rho)
+    / 2, no larger on a panel's halves than on the panel.  A panel's error is
+    then at most half (64/15) M rho**-46 / (rho**2 - 1), least over ``RHO``,
+    plus the rounding term eps half M(rho = 1) for the rule's sum (``tol``
+    must cover the rounding in f's values).
 
     Each row takes the first of ``COUNTS`` whose bound, summed over its
     panels, is at most ``tol``; if some row has none, the result is not
-    converged and ``f`` is never called.  Otherwise ``f`` is called once, on
-    the union of the node sets in use, and each row is summed over its own
-    nodes, so its value does not depend on the other rows.  A nan or infinite
-    abscissa or integrand value raises QuadratureError.
+    converged and ``f`` is never called (an interval too wide for the float
+    range has an inf or nan bound and is refused so).  Otherwise ``f`` is called once, on the union of the node
+    sets in use, and each row is summed over its own nodes, so its value does
+    not depend on the other rows.  A nan or infinite integrand value raises
+    QuadratureError.
     """
     if not b > a:
         raise ValueError("integration interval must satisfy a < b")
     counts = 0
-    for k in range(0, len(COUNTS), 4):
-        ns = COUNTS[k:k + 4]
-        # the cap's first chunk bounds its bound from below, and the bound
-        # never grows as the panels halve: a row it exceeds is refused at once
-        if ns[0] == PROBE_PANELS and not np.all(
-                (counts > 0) | (_bound(ellipse_max, a, b, COUNTS[-1:], CHUNK)[..., 0] <= tol)):
-            break
-        ok = _bound(ellipse_max, a, b, ns) <= tol
-        first = np.where(ok.any(axis=-1), np.take(ns, ok.argmax(axis=-1)), 0)
-        counts = np.where(counts > 0, counts, first)
+    for n in COUNTS:  # a bound never grows as the panels halve
+        counts = np.where((counts == 0) & _proved(ellipse_max, a, b, n, tol, counts > 0), n, counts)
         if counts.all():
             break
-    if not np.all(counts):
+    else:
         return QuadResult(None, converged=False)
 
     in_use = np.unique(counts).tolist()
-    rules = [(_small_rule if n < CHUNK else _rule)(n) for n in in_use]
+    rules = [_rule(n) for n in in_use]
     x = a + (b - a) * np.concatenate([np.empty(0)] + [nodes for nodes, _ in rules])
     with np.errstate(all="ignore"):  # the check below reports what would warn
         y = np.asarray(f(x))
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+    if not np.isfinite(y).all():
         raise QuadratureError(f"integrand is not finite on [{a}, {b}]")
     value, start = np.zeros(y.shape[:-1], dtype=y.dtype), 0
     for n, (_, w) in zip(in_use, rules):  # each row keeps the sum over its own count's nodes

@@ -5,6 +5,7 @@ import pytest
 
 from rankone_gap.quadrature import (
     CHUNK,
+    COUNTS,
     MAX_PANELS,
     NODES,
     RHO,
@@ -84,6 +85,19 @@ class TestProvedBound:
         # 120 radians: 24 nodes on one panel cannot resolve it
         assert evals[0] > NODES.size
 
+    def test_bound_covers_the_first_polynomial_the_rule_misses(self):
+        # 24 nodes integrate T_0, ..., T_47 exactly; on T_48 one panel on
+        # [-1, 1] errs by 1.55, and |T_48| <= (rho**48 + rho**-48) / 2 on E_rho
+        t48 = np.polynomial.Chebyshev.basis(48)
+
+        def one_panel(mid, half, rho):
+            return np.where(half == 1.0, (rho**48 + rho**-48) / 2, np.inf) + 0 * mid
+
+        error = abs(integrate_adaptive(t48, -1.0, 1.0, 10.0, one_panel).value + 2 / (48**2 - 1))
+        assert 1.5 < error <= 10.0
+        # the one panel's bound is above its error, so a tol of the error is refused
+        assert not integrate_adaptive(never_called, -1.0, 1.0, error, one_panel).converged
+
     def test_rows_take_their_own_panel_counts(self):
         # row k is cos(10 4**k x): each row alone gives the bits it gives in the stack
         freqs = np.array([10.0, 40.0, 160.0])
@@ -109,22 +123,23 @@ class TestProvedBound:
         assert res.value == pytest.approx(2j, abs=1e-12)
 
     def test_bound_over_the_cap_is_refused_before_any_evaluation(self):
-        mids = []
+        halves = []
 
         def huge(mid, half, rho):
-            assert mid.shape[1:] == half.shape[1:] == (1,) and rho.shape == RHO.shape
-            mids.append(mid)
+            assert mid.shape[1:] == (1,) and rho.shape == RHO.shape
+            halves.append(half)
             return np.full(np.broadcast_shapes(mid.shape, rho.shape), 1e300)
 
         res = integrate_adaptive(never_called, 0.0, 1.0, 1e-9, huge)
         assert not res.converged
-        # refused from the cap's first panels, a lower bound on its sum
-        assert mids[0][0, 0] == 0.5
-        assert mids[-1][0, 0] == 0.5 / MAX_PANELS and mids[-1].shape == (CHUNK, 1)
+        # every count up to the cap is bounded, each from its first chunk,
+        # which already exceeds tol
+        assert halves == [0.5 / n for n in COUNTS]
 
     def test_bound_over_the_cap_at_its_last_panel(self):
         # above the cap's panel width and on its last panel the bound is out
-        # of reach; its first chunk is within tol, so the counts run up to it
+        # of reach; the cap's chunks before the last are within tol, so its
+        # bound is summed to the end
         mids = []
 
         def late(mid, half, rho):
@@ -133,6 +148,7 @@ class TestProvedBound:
 
         res = integrate_adaptive(never_called, 0.0, 1.0, 1e-9, late)
         assert not res.converged
+        assert len(mids) == len(COUNTS) - 1 + MAX_PANELS // CHUNK
         assert mids[-1][-1, 0] == 1 - 0.5 / MAX_PANELS
 
     def test_tolerance_below_the_rounding_term_is_refused(self):
