@@ -4,6 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -337,6 +338,21 @@ def reference_class(expr, s):
     return "pole" if net > 0 else "zero" if net < 0 else "finite"
 
 
+def mixed_grid(expr, d):
+    """Negative s (half-integers among them), (0, 8] and log-spaced s from
+    1e3 up to 1e300 or where the value leaves double range, shuffled."""
+    # |value| ~ s**p as s grows, with p the sum of a - 1/2 over the numerator
+    # factors Gamma(u*s + a) minus that over the denominator
+    half = Fraction(1, 2)
+    growth = abs(float(sum(a - half for _, a in expr.numerator) - sum(a - half for _, a in expr.denominator)))
+    far = np.logspace(3, 300, 100)
+    grid = np.concatenate([
+        halfopen_grid(-2.0 * d, 0.0, 8 * d), -np.logspace(3, 15, 20), halfopen_grid(0.0, 8.0, 100),
+        far[growth * np.log10(far) < 300],
+    ])
+    return np.random.default_rng(d).permutation(grid)
+
+
 @pytest.mark.parametrize("d", range(1, 9))
 def test_evaluate_grid_bits_match_pointwise_reference(d):
     # == on purpose: a grid and a single point go through one evaluator, so
@@ -344,21 +360,23 @@ def test_evaluate_grid_bits_match_pointwise_reference(d):
     classes_seen = set()
     for sigma, tau in bit_pin_pairs(d):
         expr = cfunction_expr(tau, dual(sigma), d)
-        for lo in (d / 2, -float(d)):
-            grid = halfopen_grid(lo, float(d), 2000)
+        for grid in (halfopen_grid(d / 2, float(d), 2000), halfopen_grid(-float(d), float(d), 2000),
+                     mixed_grid(expr, d)):
             values, classes = _evaluate_grid(expr, grid)
             reference = [evaluate(expr, s) for s in grid]
-            assert values.tolist() == [gv.value for gv in reference], (d, sigma, tau, lo)
-            assert classes.tolist() == [gv.classification for gv in reference], (d, sigma, tau, lo)
+            assert values.tolist() == [gv.value for gv in reference], (d, sigma, tau, grid[0])
+            assert classes.tolist() == [gv.classification for gv in reference], (d, sigma, tau, grid[0])
             # the classes of the written factors, before pairing and duplication
-            assert classes.tolist() == [reference_class(expr, s) for s in grid], (d, sigma, tau, lo)
+            assert classes.tolist() == [reference_class(expr, s) for s in grid], (d, sigma, tau, grid[0])
             classes_seen.update(classes.tolist())
     assert "finite" in classes_seen
 
 
-# worst relative error against mp_value on these samples when every factor
-# went through math.lgamma point by point (commit 90caf4f): 1.43e-14 on
-# (d/2, d] and 3.89e-14 on (-d, d]
+# worst relative error against mp_value on these samples: 1.25e-15 on
+# (d/2, d] and 1.35e-15 on (-d, d] with the odd-d Gamma(s) / Gamma(s + 1/2)
+# in one array kernel (7.46e-15 and 7.09e-15 with it on two math.lgamma
+# rows, commit 0aa3a24; 1.43e-14 and 3.89e-14 when every factor went through
+# math.lgamma, commit 90caf4f)
 @pytest.mark.parametrize("d", range(1, 9))
 def test_evaluate_grid_near_mpmath(d):
     rng = random.Random(d)
@@ -371,6 +389,36 @@ def test_evaluate_grid_near_mpmath(d):
                 if classes[i] == "finite":
                     ref = mp_value(expr, grid[i])
                     assert abs(values[i] - ref) <= 1e-14 * abs(ref), (d, sigma, tau, grid[i])
+
+
+# two math.lgamma rows that cancelled as s grew were 1.5e-9 off at 1e6,
+# 3.6% at 1e13 and 45 times the value at 1e15 (commit 0aa3a24)
+@pytest.mark.parametrize("d", (1, 3, 5, 7))
+def test_odd_d_large_s_near_mpmath(d):
+    for sigma in enumerate_weights(d, 1):
+        expr = cfunction_expr(witness_ktype(sigma, d), dual(sigma), d)
+        for s in (1e2, 1e4, 1e6, 1e10, 1e13, 1e15, 1e20):
+            gv = evaluate(expr, s)
+            ref = mp_ratio(expr, s)
+            assert gv.classification == "finite"
+            assert abs(gv.value - ref) <= 1e-13 * abs(ref), (d, sigma, s)
+
+
+def test_half_integer_offset_near_mpmath():
+    # Gamma(s + 1/2) / Gamma(s + 3) = R(s + 1/2) / ((s + 1)(s + 2)), with
+    # R(x) = Gamma(x) / Gamma(x + 1/2) at a half-integer offset, where the
+    # reflection reads cot(pi x) as -tan(pi r)
+    expr = GammaRatioExpr(F(1), (F(0), F(0)), ((F(1), Fraction(1, 2)),), ((F(1), F(3)),))
+    assert expr.reduced.halves == (0.5,)
+    near = [k / 2 + off for k in range(-16, 8) for off in (0.0, 2e-10, -2e-10, 2e-9, -2e-9, 1e-6)]
+    grid = np.concatenate([halfopen_grid(-8.0, 4.0, 960), near, [-1e10 - 0.3, -2.5e14 + 0.25]])
+    values, classes = _evaluate_grid(expr, grid)
+    assert classes.tolist() == [reference_class(expr, s) for s in grid]
+    assert {"finite", "zero", "pole"} <= set(classes.tolist())
+    for s, value, cls in zip(grid.tolist(), values.tolist(), classes.tolist()):
+        if cls == "finite":
+            ref = mp_ratio(expr, s)
+            assert abs(value - ref) <= 1e-14 * abs(ref), s
 
 
 def pairing_cases(d):
@@ -386,17 +434,14 @@ def pairing_cases(d):
 class TestReduced:
     @pytest.mark.parametrize("d", range(1, 9))
     def test_rational_up_to_one_gamma_ratio(self, d):
-        # even d: a constant times a rational function; odd d: one
-        # Gamma(s) / Gamma(s + m + 1/2) is left
+        # even d: a constant times a rational function; odd d: that times one
+        # Gamma(s) / Gamma(s + 1/2), what is left of Gamma(s) / Gamma(s + m + 1/2)
         for sigma, tau in pairing_cases(d):
             red = cfunction_expr(tau, dual(sigma), d).reduced
             assert red.log_two == (0.0, 0.0)
             assert red.linear.size <= 12
-            if d % 2 == 0:
-                assert red.gamma_offsets.size == 0
-            else:
-                a, b = red.gamma_offsets
-                assert red.gamma_sides.tolist() == [1, -1] and a == 0.0 and b % 1 == 0.5
+            assert red.gamma_offsets.size == 0
+            assert red.halves == (() if d % 2 == 0 else (0.0,))
 
     def test_odd_d_constant(self):
         # 2**(-2s+d) Gamma(2s) = 2**(d-1) / sqrt(pi) * Gamma(s) Gamma(s + 1/2)

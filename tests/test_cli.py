@@ -9,6 +9,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -223,6 +224,13 @@ class TestInputErrors:
         # numpy only warns on overflow; the handlers that load it raise it
         err = self.assert_input_error(capsys, with_docs(argv, tmp_path))
         assert err == "error: overflow encountered in subtract\n"
+
+    def test_cfun_eval_odd_d_out_of_range(self, capsys):
+        # printed "error: math range error" from math.lgamma(1e308); even d
+        # names the log magnitude, too
+        argv = ["cfun", "eval", "--d", "3", "--sigma", "0", "--tau", "0,0", "--s=1e308"]
+        err = self.assert_input_error(capsys, argv)
+        assert err == "error: log magnitude -1.06e+03 exceeds double-precision range at s=1e+308\n"
 
     def test_gap_params_domain(self, capsys):
         self.assert_input_error(capsys, ["gap", "params", "--kappa-gamma", "inf", "--d", "2"])
@@ -549,10 +557,24 @@ CFUN_GOLDEN = json.loads((Path(__file__).parent / "cli_cfun_golden.json").read_t
 def test_cfun_bytes_unchanged(case, monkeypatch):
     """``cfun scan``, ``eval`` and ``expr`` byte for byte, as the CLI printed
     them once the scalars were evaluated as a constant times a rational
-    function: witness scans, scans through poles and zeros on (-d, d], a
-    K-type entry of 10**6, values near singular points, and errors."""
+    function, times one array kernel for the odd-d Gamma(s) / Gamma(s + 1/2):
+    witness scans, scans through poles and zeros on (-d, d], a K-type entry
+    of 10**6, values near singular points, large |s|, and errors."""
     monkeypatch.setenv("COLUMNS", "80")
     assert run_captured(case["argv"]) == (case["code"], case["out"], case["err"])
+
+
+@pytest.mark.parametrize("s", ["1e15", "1e20"])
+def test_cfun_eval_large_s_near_mpmath(s):
+    """The d = 3 witness scalar 2**(3-2s) Gamma(2s) / (Gamma(s+1/2) Gamma(s+3/2))
+    at large s, about 7.136e-23 and 2.257e-30 (two log-Gammas that cancelled
+    printed 3.2e-21 and 2.26)."""
+    code, out, err = run_captured(["cfun", "eval", "--d", "3", "--sigma", "0", "--tau", "0,0", "--s", s])
+    assert (code, err) == (0, "")
+    with mpmath.workdps(30):
+        x = mpmath.mpf(s)
+        ref = mpmath.power(2, 3 - 2 * x) * mpmath.gamma(2 * x) / (mpmath.gamma(x + 0.5) * mpmath.gamma(x + 1.5))
+    assert abs(float(out) - ref) <= 1e-13 * abs(ref)
 
 
 def test_far_field_transform_prints_its_value(tmp_path):

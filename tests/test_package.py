@@ -53,8 +53,10 @@ def test_benchmark_tracer_still_installs(tmp_path):
     """``perfbench/tracer.py::install`` hooks the package's functions by name,
     wraps the integrand, the first argument of ``quadrature.
     integrate_adaptive``, and reads the result's ``converged``.  Under it a
-    ``sim laplace`` and a ``stieltjes invert`` still exit 0, and each
-    ``laplace_numeric`` call makes one quadrature call."""
+    ``sim laplace``, a ``stieltjes invert``, a ``cfun scan`` and a ``cfun
+    eval`` still exit 0, each ``laplace_numeric`` call makes one quadrature
+    call, and the scan and the eval make one ``nonvanishing_scan`` and one
+    ``evaluate`` call."""
     model = tmp_path / "model.json"
     model.write_text(json.dumps(SpectralModel(
         d=2, delta=1.5, tempered_amplitude=0.3,
@@ -71,13 +73,16 @@ def test_benchmark_tracer_still_installs(tmp_path):
         tr.install(tracer)
         with contextlib.redirect_stdout(io.StringIO()):
             codes = [cli.run(["sim", "laplace", "--model", {str(model)!r}, "--z-grid", "0.2:2:10"]),
-                     cli.run(["stieltjes", "invert", "--model", {str(measure)!r}, "--a", "0", "--b", "1"])]
+                     cli.run(["stieltjes", "invert", "--model", {str(measure)!r}, "--a", "0", "--b", "1"]),
+                     cli.run(["cfun", "scan", "--d", "5", "--sigma", "1,0", "--grid", "200"]),
+                     cli.run(["cfun", "eval", "--d", "7", "--sigma", "1,0,0", "--tau", "1,0,0,0", "--s", "5.3"])]
         per, _ = tracer.per_function()
-        calls = [per[f]["calls"] for f in ("quadrature.integrate_adaptive", "laplace.laplace_numeric")]
+        calls = [per[f]["calls"] for f in ("quadrature.integrate_adaptive", "laplace.laplace_numeric",
+                                           "cfunction.nonvanishing_scan", "cfunction.evaluate")]
         print(codes, calls, tracer.counts["quadrature.integrate_adaptive.evals"] > 0)
     """
     path = os.pathsep.join(filter(None, [str(SRC), str(SRC.parent), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0] [1.0, 1.0] True"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] [1.0, 1.0, 1.0, 1.0] True"
