@@ -25,7 +25,8 @@ from rankone_gap import (
     laplace_numeric,
     nonvanishing_scan,
 )
-from rankone_gap.cli import COMMANDS, build_parser, named, run
+from rankone_gap import _table
+from rankone_gap.cli import COMMANDS, KERNEL_CELLS, build_parser, named, run
 
 
 DOC = "<document>"
@@ -920,18 +921,39 @@ def per_row_table(header, rows):
 
 
 class TestCsvTables:
-    """The one-block CSV writer gives the bytes of a row-by-row table."""
+    """The one-block CSV writer gives the bytes of a row-by-row table, on
+    either side of the kernel's crossover."""
+
+    @pytest.fixture(autouse=True)
+    def kernel_calls(self, monkeypatch):
+        calls = []
+
+        def counted(columns):
+            calls.append(len(columns) * len(columns[0]))
+            return rows(columns)
+
+        rows = _table.rows
+        monkeypatch.setattr(_table, "rows", counted)
+        return calls
+
+    @staticmethod
+    def assert_path(kernel_calls, cells):
+        assert kernel_calls == ([cells] if cells >= KERNEL_CELLS else [])
 
     @pytest.mark.parametrize(
         "sigma, tau, lo, hi, n",
         [
             # poles at s = -1 and 0, zeros at s = 3/2 and 5/2, negative values
             ("0", "2,0", -2.0, 3.0, 10),
+            ("0", "2,0", -2.0, 3.0, 20000),
             ("1", None, 1.5, 3.0, 7),
             ("1", None, 1.5, 3.0, 1),
+            # three columns: just below and just above the crossover
+            ("1", None, 1.5, 3.0, KERNEL_CELLS // 3),
+            ("1", None, 1.5, 3.0, KERNEL_CELLS // 3 + 1),
         ],
     )
-    def test_scan(self, capsys, sigma, tau, lo, hi, n):
+    def test_scan(self, capsys, kernel_calls, sigma, tau, lo, hi, n):
         argv = ["cfun", "scan", "--d", "3", "--sigma", sigma, "--grid", str(n)]
         argv += ["--s-min", str(lo), "--s-max", str(hi)] + (["--tau", tau] if tau else [])
         tau_w = HighestWeight(4, tuple(int(e) for e in tau.split(","))) if tau else None
@@ -941,6 +963,7 @@ class TestCsvTables:
         assert tau is None or {"pole", "zero", "finite"} <= classes
         _, out, _ = invoke(capsys, argv)
         assert out == per_row_table("s,value,classification", report.rows)
+        self.assert_path(kernel_calls, 3 * n)
 
     # complex coefficients give negative real and imaginary parts
     SIGNED_MODEL = {
@@ -950,23 +973,25 @@ class TestCsvTables:
         ],
     }
 
-    @pytest.mark.parametrize("t_max", ["3", "0"])
-    def test_correlate(self, capsys, tmp_path, t_max):
+    @pytest.mark.parametrize("t_max, dt", [pytest.param("3", "0.5", id="3"),
+                                           pytest.param("0", "0.5", id="0"), ("200", "0.1")])
+    def test_correlate(self, capsys, tmp_path, kernel_calls, t_max, dt):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(self.SIGNED_MODEL))
-        ts = np.arange(0.0, float(t_max) + 0.25, 0.5)
+        ts = np.arange(0.0, float(t_max) + float(dt) / 2, float(dt))
         values = correlation(SpectralModel.from_json(self.SIGNED_MODEL), ts)
         rows = [(t, v.real, v.imag) for t, v in zip(ts, np.atleast_1d(values))]
         assert any(v < 0 for row in rows for v in row)
         _, out, _ = invoke(capsys, ["sim", "correlate", "--model", str(path),
-                                    "--t-max", t_max, "--dt", "0.5"])
+                                    "--t-max", t_max, "--dt", dt])
         assert out == per_row_table("t,re,im", rows)
+        self.assert_path(kernel_calls, 3 * len(ts))
 
     @pytest.mark.parametrize("spec, zs", [
         ("0.2:2:4:-0.5", [complex(x, -0.5) for x in np.linspace(0.2, 2, 4)]),
         ("0.2:2:1", [0.2 + 0j]),
     ])
-    def test_laplace(self, capsys, tmp_path, spec, zs):
+    def test_laplace(self, capsys, tmp_path, kernel_calls, spec, zs):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(self.SIGNED_MODEL))
         res = laplace_numeric(SpectralModel.from_json(self.SIGNED_MODEL), np.array(zs))
@@ -975,3 +1000,4 @@ class TestCsvTables:
         assert any(v < 0 for row in rows for v in row)
         _, out, _ = invoke(capsys, ["sim", "laplace", "--model", str(path), "--z-grid", spec])
         assert out == per_row_table("z_re,z_im,re,im,truncation_bound", rows)
+        self.assert_path(kernel_calls, 5 * len(zs))

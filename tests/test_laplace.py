@@ -453,6 +453,25 @@ class TestPoleProbe:
         assert not report.passed and report.blowup_detected
         assert abs(report.pole_location - (2.1303 - 2.183)) <= 1e-3
 
+    @pytest.mark.xfail(strict=True, reason="a residue of 9.3e-5 does not blow up against "
+                       "20 times the median, so the probe passes the pole (known defect)")
+    def test_residue_near_1e_4_fails_and_locates(self):
+        # c(s) = 0.6945 - 0.2856 s nearly vanishes at the planted atom 2.4313, so its
+        # residue is 9.28e-5; this document is op 52033 of the continuation benchmark
+        model = SpectralModel.from_json({
+            "d": 4, "delta": 2.463, "channels": [{
+                "sigma": {"n": 4, "entries": [0, 0]},
+                "measure": {
+                    "atoms": [{"t": 2.184, "w_re": 0.8006, "w_im": 0},
+                              {"t": 2.4313, "w_re": 0.7684, "w_im": 0},
+                              {"t": 2.463, "w_re": 0.9444, "w_im": -0.2123}],
+                    "densities": [{"a": 2.02, "b": 2.265, "coeffs_re": [0.7959]}]},
+                "coeff_re": [0.6945, -0.2856], "coeff_im": [0, 0]}]})
+        report = pole_probe(model, 0.1)
+        assert report.max_contour == pytest.approx(0.7684 * (0.6945 - 0.2856 * 2.4313), rel=1e-9)
+        assert not report.passed
+        assert abs(report.pole_location - (2.4313 - 2.463)) <= 1e-3
+
     def test_empty_model_passes(self):
         report = pole_probe(SpectralModel(d=2, delta=1.5), 0.1)
         assert report.passed and report.max_abs == 0.0
